@@ -7,6 +7,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from scoreplay.octal import (
     resolve_rules_ref,
 )
 from scoreplay.periods import (
+    _bool,
     certified_start,
     check_lemma,
     detect_certified_period,
@@ -46,8 +48,10 @@ from scoreplay.periods import (
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_games(argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
@@ -55,6 +59,25 @@ def main(argv: list[str] | None = None) -> int:
     except (NotationError, RulesError, BudgetExceededError, ExpansionLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+_NEGATIVE_SCORE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_games(argv: list[str]) -> list[str]:
+    """Rewrite ``--game -3/2`` as ``--game=-3/2``.
+
+    argparse takes a separate value that starts with ``-`` for an option
+    unless it reads as a plain number, so a game such as ``-3/2`` or
+    ``-0.5`` would leave ``--game`` without its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--game" and _NEGATIVE_SCORE.match(arg):
+            out[-1] = "--game=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,10 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
-
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def _load_rules(refs: list[str]) -> dict[str, OctalRules]:
@@ -208,14 +227,13 @@ def _cmd_table(args) -> int:
 
 def _cmd_period(args) -> int:
     rules, base, var, values = _sweep_values(args)
-    digest = sequence_digest(values)
     if base.heaps:
         print("note: fixed base position, certification skipped", file=sys.stderr)
         report = detect_period(values, args.min_window)
     else:
         report = detect_certified_period(rules[var], values, args.min_window)
     if report is None:
-        print(f"period=none checked_up_to={args.max_n} values_digest={digest}")
+        print(f"period=none checked_up_to={args.max_n} values_digest={sequence_digest(values)}")
         return 0
     cert_from = ""
     if report.certified:
@@ -227,7 +245,7 @@ def _cmd_period(args) -> int:
     print(
         f"preperiod={report.preperiod} period={report.period} "
         f"certified={_bool(report.certified)}{cert_from} "
-        f"checked_up_to={args.max_n} values_digest={digest}"
+        f"checked_up_to={args.max_n} values_digest={report.sequence_digest}"
     )
     return 0
 

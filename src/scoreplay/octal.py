@@ -10,6 +10,7 @@ with both players maximizing what they collect.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -332,14 +333,18 @@ class GrundySolver:
         self.budget = budget
         self._values: dict[Position, Score] = {}
         self._games: dict[tuple[Position, Score], Game] = {}
+        # single-heap values of non-splitting rulesets, scaled to ints (see sweep)
+        self._tables: dict[str, list[int]] = {}
 
     @property
     def positions_evaluated(self) -> int:
-        return len(self._values)
+        """Positions memoized by :meth:`value`, plus single-heap table entries."""
+        return len(self._values) + sum(map(len, self._tables.values()))
 
     def clear_cache(self) -> None:
         self._values.clear()
         self._games.clear()
+        self._tables.clear()
 
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
@@ -388,13 +393,53 @@ class GrundySolver:
     def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[Score]:
         """Values of ``base`` plus one growing heap, for sizes 0..max_n.
 
-        Entry 0 is the value of the base alone.  The memo persists across
+        Entry 0 is the value of the base alone.  Work persists across
         entries and across sweeps.
+
+        With an empty base and a ruleset that never splits a heap, every
+        position reached is a single heap of that ruleset, so the sweep runs
+        the recurrence ``v[n] = max(points[k] - v[n - k])`` over a flat table
+        of ints: awards are scaled by the LCM of their denominators, and
+        values become Fractions only on return.  The table is kept per
+        ruleset, a longer sweep extends it, and it counts toward
+        ``positions_evaluated`` and the budget.  Every other sweep evaluates
+        each entry with :meth:`value`.  The values are the same either way.
         """
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         var = self._resolve_var(var)
-        return [self.value(base.add_heap(var, n)) for n in range(max_n + 1)]
+        rules = self.rules[var]
+        if base.heaps or rules.splits_heaps:
+            return [self.value(base.add_heap(var, n)) for n in range(max_n + 1)]
+        scale = math.lcm(*(p.denominator for p in rules.points))
+        table = self._single_heap_table(rules, scale, max_n)[: max_n + 1]
+        as_fraction = {x: Fraction(x, scale) for x in set(table)}
+        return [as_fraction[x] for x in table]
+
+    def _single_heap_table(self, rules: OctalRules, scale: int, max_n: int) -> list[int]:
+        """Scaled values of single heaps 0..max_n or more, extending the table."""
+        table = self._tables.setdefault(rules.name, [])
+        stop = max_n + 1
+        if self.budget is not None:
+            # the entry that would take the count past the budget is not computed
+            stop = min(stop, len(table) + max(self.budget - self.positions_evaluated, 0))
+        digits = rules.digits
+        awards = [int(p * scale) for p in rules.points]
+        keeps = [(take, awards[take - 1]) for take, d in enumerate(digits, start=1) if d & 2]
+        for n in range(len(table), min(stop, len(digits) + 1)):
+            options = [award - table[n - take] for take, award in keeps if take < n]
+            if n and digits[n - 1] & 1:
+                options.append(awards[n - 1])  # take the whole heap; nothing is left
+            table.append(max(options, default=0))
+        # past len(digits) beans every move leaves a heap, and table[-take] is v[n - take]
+        for _ in range(len(table), stop):
+            table.append(max([award - table[-take] for take, award in keeps], default=0))
+        if len(table) <= max_n:
+            raise BudgetExceededError(
+                f"position budget exceeded ({self.budget} positions) "
+                f"evaluating {render_position(Position(((rules.name, len(table)),)))}"
+            )
+        return table
 
     def to_game(self, position: Position, max_total: int = 16) -> Game:
         """Expand the full play tree as an explicit game, root score zero.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from scoreplay.games import Score, format_score
@@ -65,7 +66,7 @@ def _period_candidates(values: Sequence[Score], min_window: int):
     if count < min_window:
         raise ValueError(f"sequence of length {count} is shorter than min_window={min_window}")
     last = count - 1
-    digest = sequence_digest(values)
+    digest = None  # hashed once, when the first candidate qualifies
     for period in range(1, count // min_window + 1):
         preperiod = 0
         for n in range(last - period, -1, -1):
@@ -76,6 +77,8 @@ def _period_candidates(values: Sequence[Score], min_window: int):
             continue
         if not verify_period(values, preperiod, period):
             raise RuntimeError("period self-check failed")  # pragma: no cover
+        if digest is None:
+            digest = sequence_digest(values)
         yield PeriodReport(preperiod, period, last, False, digest)
 
 
@@ -98,12 +101,31 @@ def certified_start(rules: OctalRules, report: PeriodReport) -> int:
 def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Score]) -> bool:
     """Prove a detected period of a single-heap sweep continues forever.
 
-    Valid only when no digit splits heaps: past the digit count f, the value
-    of heap n is a fixed function of the previous f values, so a verified
-    window of period + f matches starting past f extends by induction to all
-    larger heaps.  Splitting rules always return False (the report stays
-    empirical).  The caller must have swept these rules alone from an empty
-    base.
+    Let f be the digit count, p the period and s = :func:`certified_start`,
+    so s > f and s >= the preperiod.  The check is that v[n + p] = v[n] for
+    the p + f indices n = s .. s + p + f - 1, which needs values through
+    n = s + 2p + f - 1.
+
+    Proof, valid only when no digit splits heaps.  A move takes k <= f
+    beans, so for n > f every move leaves a single heap n - k >= 1: only
+    digit bit 2 applies, and
+
+        v[n] = F(v[n-1], ..., v[n-f]) = max over bit-2 k of points[k] - v[n-k]
+
+    (0 when no digit has bit 2), one fixed function for every n > f.  Now
+    suppose v[m + p] = v[m] for all m in s .. n - 1, with n >= s + f.  Then
+    n > f and n + p > f, and each n - j for j = 1..f lies in s .. n - 1, so
+    v[n + p] = F(v[n+p-1], ..., v[n+p-f]) = F(v[n-1], ..., v[n-f]) = v[n].
+    By induction v[n + p] = v[n] for every n >= s.  The induction needs
+    only the first f checked indices; the other p make the window cover a
+    whole period block past them.  A sequence that matches for p + f - 1
+    indices and then differs does not certify.
+
+    Splitting rules always return False (the report stays empirical): a
+    split leaves two heaps, and the recurrence no longer looks back at
+    single heaps alone.  The caller must have swept these rules alone from
+    an empty base.  Raises ValueError when ``values`` ends before the
+    window does.
     """
     if rules.splits_heaps:
         return False
@@ -391,9 +413,8 @@ def _parse_ground_set(value: str) -> list[int]:
     return sorted(ground)
 
 
-def _nonempty_subsets(ground: list[int]):
-    from itertools import combinations
-
+def _nonempty_subsets(ground):
+    """Every nonempty subset of ``ground`` as a tuple, smallest first."""
     for size in range(1, len(ground) + 1):
         yield from combinations(ground, size)
 
@@ -475,7 +496,6 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
             instance.name, "budget-exceeded", None, None, False, None,
             two_k, None, in_hypothesis, False, instance.max_n, "", instance.rules.digest,
         )
-    digest = sequence_digest(values)
     if instance.fixed.heaps:
         report = detect_period(values, instance.min_window)
     else:
@@ -483,7 +503,8 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     if report is None:
         return ScanRow(
             instance.name, "not-found", None, None, False, None,
-            two_k, None, in_hypothesis, False, instance.max_n, digest, instance.rules.digest,
+            two_k, None, in_hypothesis, False, instance.max_n, sequence_digest(values),
+            instance.rules.digest,
         )
     certified = report.certified
     cert_from = certified_start(instance.rules, report) if certified else None
@@ -491,7 +512,7 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     counterexample = bool(certified and in_hypothesis and divides is False)
     return ScanRow(
         instance.name, "ok", report.preperiod, report.period, certified, cert_from,
-        two_k, divides, in_hypothesis, counterexample, instance.max_n, digest,
+        two_k, divides, in_hypothesis, counterexample, instance.max_n, report.sequence_digest,
         instance.rules.digest,
     )
 

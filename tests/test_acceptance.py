@@ -29,6 +29,7 @@ from scoreplay.octal import (
     subtraction_rules,
 )
 from scoreplay.periods import (
+    _nonempty_subsets,
     certify_period,
     check_lemma,
     detect_period,
@@ -37,13 +38,6 @@ from scoreplay.periods import (
     scan_instance,
 )
 from support import greedy_nim_value, naive_final_scores
-
-
-def _nonempty_subsets(ground):
-    from itertools import combinations
-
-    for size in range(1, len(ground) + 1):
-        yield from combinations(ground, size)
 
 
 def test_criterion_01_table_reproduction(capsys):

@@ -43,6 +43,22 @@ def test_eval_fractional_scores(run):
     assert out.startswith("sl=1/2 sr=-1/2 ")
 
 
+@pytest.mark.parametrize("argv", [["--game", "-3/2"], ["--game=-3/2"]])
+def test_eval_negative_score_as_separate_value(run, argv):
+    code, out, err = run("eval", *argv)
+    assert code == 0
+    assert out == "sl=-3/2 sr=-3/2 outcome=R impartial=true\n"
+    assert err == ""
+
+
+def test_sum_and_tree_take_negative_games(run):
+    code, out, _ = run("sum", "--game", "-3/2", "--game", "-0.5", "--eval")
+    assert code == 0
+    assert out == "-2\nsl=-2 sr=-2 outcome=R impartial=true\n"
+    code, out, _ = run("tree", "--game", "-1/2")
+    assert (code, out) == (0, "-1/2\n")
+
+
 def test_sum_renders_canonical_notation(run):
     code, out, _ = run("sum", "--game", "{4|3|2}", "--game", "1")
     assert code == 0
@@ -206,6 +222,7 @@ def test_usage_error_exits_2(run):
     assert run()[0] == 2
     assert run("eval")[0] == 2
     assert run("frobnicate")[0] == 2
+    assert run("eval", "--game", "--eval")[0] == 2  # an option name is still no value
 
 
 def test_module_entry_point():

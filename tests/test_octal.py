@@ -25,6 +25,7 @@ from scoreplay.octal import (
     standard_nim,
     subtraction_rules,
 )
+from scoreplay.periods import _nonempty_subsets
 from support import naive_final_scores
 
 
@@ -295,6 +296,103 @@ def test_rules_map_key_must_match_name():
 def test_deep_sweep_does_not_hit_recursion_limit():
     values = GrundySolver(subtraction_rules((1,))).sweep(5000)
     assert values[-2:] == [1, 0]  # alternating: odd totals are worth one
+    # the generic evaluator walks the same chain on its explicit stack
+    assert GrundySolver(subtraction_rules((1,))).value(Position((("sub1", 4999),))) == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer single-heap kernel behind sweep, against the generic evaluator
+
+
+def generic_sweep(solver, max_n, var, base=Position()):
+    """Sweep entries evaluated one by one through ``value``."""
+    return [solver.value(base.add_heap(var, n)) for n in range(max_n + 1)]
+
+
+def budget_outcome(run, solver):
+    """(error message or None, positions evaluated) after ``run(solver)``."""
+    try:
+        run(solver)
+    except BudgetExceededError as exc:
+        return str(exc), solver.positions_evaluated
+    return None, solver.positions_evaluated
+
+
+NON_SPLITTING = [subtraction_rules(s) for s in _nonempty_subsets(range(1, 6))]
+NON_SPLITTING.append(rules_from_name("o3333p2"))
+
+
+@pytest.mark.parametrize("rules", NON_SPLITTING, ids=lambda r: r.name)
+def test_kernel_matches_evaluator_on_acceptance_rulesets(rules):
+    values = GrundySolver(rules).sweep(300)
+    assert values == generic_sweep(GrundySolver(rules), 300, rules.name)
+    assert all(type(v) is Fraction for v in values)
+
+
+awards = st.one_of(
+    st.sampled_from([Fraction(-7, 2), Fraction(1, 3), Fraction(0)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+non_splitting_rules = st.lists(
+    st.tuples(st.integers(0, 3), awards), min_size=1, max_size=6
+).filter(lambda moves: any(d for d, _ in moves)).map(
+    lambda moves: OctalRules("h", [d for d, _ in moves], [p for _, p in moves])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_splitting_rules, st.integers(0, 80), st.integers(0, 80))
+def test_kernel_matches_evaluator_on_random_rules(rules, first, second):
+    """Fractional and negative awards, emptying-only and surviving digits;
+    a second sweep extends or slices the first."""
+    solver = GrundySolver(rules)
+    reference = generic_sweep(GrundySolver(rules), max(first, second), "h")
+    assert solver.sweep(first) == reference[: first + 1]
+    assert solver.sweep(second) == reference[: second + 1]
+    assert solver.positions_evaluated == max(first, second) + 1
+
+
+def test_kernel_serves_a_mixed_rules_solver():
+    o26 = rules_from_name("o26")
+    solver = GrundySolver([SUB45, o26])
+    assert solver.sweep(40, var="sub45") == generic_sweep(GrundySolver(SUB45), 40, "sub45")
+    assert solver.positions_evaluated == 41  # heaps of sub45 alone
+    assert solver.sweep(12, var="o26") == generic_sweep(GrundySolver(o26), 12, "o26")
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_splitting_rules, st.integers(0, 40), st.integers(0, 40))
+def test_kernel_budget_errors_match_evaluator(rules, budget, max_n):
+    """A fresh solver fails exactly when max_n + 1 > budget, with the same
+    message and the same work kept."""
+    kernel = budget_outcome(lambda s: s.sweep(max_n), GrundySolver(rules, budget=budget))
+    generic = budget_outcome(
+        lambda s: generic_sweep(s, max_n, "h"), GrundySolver(rules, budget=budget)
+    )
+    assert kernel == generic
+    assert (kernel[0] is not None) == (max_n + 1 > budget)
+
+
+def test_kernel_budget_message():
+    solver = GrundySolver(SUB45, budget=0)
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(0 positions\) evaluating -$"):
+        solver.sweep(3)
+    solver = GrundySolver(SUB45, budget=7)
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(7 positions\) evaluating 7@sub45$"):
+        solver.sweep(20)
+    assert solver.sweep(6) == SUB45_TABLE[:7]  # the work done before the error is kept
+
+
+@pytest.mark.parametrize(
+    "rules, base",
+    [(rules_from_name("o26"), Position()), (SUB45, heap(3)), (SUB45, heap(9))],
+    ids=["splitting", "dead-base", "live-base"],
+)
+def test_generic_sweeps_keep_their_memo_growth(rules, base):
+    solver = GrundySolver(rules)
+    reference = GrundySolver(rules)
+    assert solver.sweep(14, base=base) == generic_sweep(reference, 14, rules.name, base)
+    assert solver.positions_evaluated == reference.positions_evaluated
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from scoreplay import periods
 from scoreplay.octal import GrundySolver, Position, rules_from_name, subtraction_rules
 from scoreplay.periods import (
     PeriodReport,
@@ -125,6 +126,42 @@ def test_certify_refuses_splitting_rules():
     report = detect_period(values)
     assert report is not None
     assert certify_period(o26, report, values) is False
+
+
+def diverging_sequence(rules, preperiod, period, matches):
+    """Values for a certify window that repeat with ``period`` for exactly
+    ``matches`` indices from the certified start, then differ once.
+
+    Not a sweep of ``rules``: the head is arbitrary, so only the window
+    check stands between this sequence and a certificate.
+    """
+    report = PeriodReport(preperiod, period, 0, False, "")
+    start = certified_start(rules, report)
+    length = start + 2 * period + len(rules.digits)
+    values = [Fraction(n * n % 5, 1 + n % 2) for n in range(start + period)]
+    for m in range(start + period, length):
+        values.append(values[m - period] + (1 if m - period == start + matches else 0))
+    return PeriodReport(preperiod, period, length - 1, False, sequence_digest(values)), values
+
+
+@pytest.mark.parametrize("rules", [SUB3, O3333P2, rules_from_name("sub45")], ids=lambda r: r.name)
+@pytest.mark.parametrize("preperiod, period", [(0, 1), (0, 2), (9, 5), (14, 3)])
+def test_certify_rejects_any_divergence_inside_the_window(rules, preperiod, period):
+    lookback = len(rules.digits)
+    for matches in range(period + lookback):
+        report, values = diverging_sequence(rules, preperiod, period, matches)
+        assert certify_period(rules, report, values) is False, matches
+    report, values = diverging_sequence(rules, preperiod, period, period + lookback)
+    assert certify_period(rules, report, values) is True  # the mismatch falls past the window
+
+
+def test_certify_window_length_is_exact():
+    values = sweep(O3333P2, 60)
+    report = detect_period(values)
+    needed = certified_start(O3333P2, report) + 2 * report.period + len(O3333P2.digits)
+    assert certify_period(O3333P2, report, values[:needed]) is True
+    with pytest.raises(ValueError, match="certification window"):
+        certify_period(O3333P2, report, values[: needed - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +322,22 @@ def test_scan_instance_budget_exceeded_row():
     row = scan_instance(ScanInstance("sub3", SUB3, max_n=500, budget=5))
     assert row.status == "budget-exceeded"
     assert row.values_digest == ""
+
+
+def test_scan_instance_hashes_each_sweep_once(monkeypatch):
+    hashed = []
+
+    def counting_digest(values):
+        hashed.append(len(values))
+        return sequence_digest(values)
+
+    monkeypatch.setattr(periods, "sequence_digest", counting_digest)
+    for max_n, status in [(60, "ok"), (10, "not-found")]:
+        hashed.clear()
+        row = scan_instance(ScanInstance("sub3", SUB3, max_n=max_n))
+        assert row.status == status
+        assert row.values_digest == sequence_digest(sweep(SUB3, max_n))
+        assert hashed == [max_n + 1]
 
 
 def test_scan_instance_fixed_base_stays_empirical():
