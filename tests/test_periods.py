@@ -263,6 +263,8 @@ def test_parse_scan_spec_instance_settings():
     assert (first.name, first.max_n, first.min_window, first.budget) == ("o3333p2", 25, 2, None)
     assert second.fixed == Position((("sub45", 3),))
     assert second.extra_rules == ()
+    (inst,) = parse_scan_spec("budget: none\nmax-n: 30\nmin-window: 4\ninstance: sub45\n").instances
+    assert (inst.max_n, inst.min_window, inst.budget) == (30, 4, None)
 
 
 def test_parse_scan_spec_fixed_base_pulls_extra_rules():
@@ -279,6 +281,8 @@ def test_parse_scan_spec_fixed_base_pulls_extra_rules():
         ("speed: 3\n", "line 1"),
         ("seed 3\n", "line 1"),
         ("instance: sub45 window=2\n", "line 1"),
+        ("frobnicate: 1\n", "unknown directive"),
+        ("instance: sub45 window=2\n", "unknown instance setting"),
         ("subtraction-family: 0-2\n", "line 1"),
         ("instance: sub45 fixed=3@mystery\n", "unknown ruleset"),
     ],
@@ -369,3 +373,128 @@ def test_run_scan_is_reproducible():
     first = run_scan(parse_scan_spec(FAMILY_SPEC)).to_csv()
     second = run_scan(parse_scan_spec(FAMILY_SPEC)).to_csv()
     assert first == second
+
+
+PINNED_SPEC = """\
+seed: 4
+budget: none
+max-n: 60
+instance: sub45
+instance: o3333p2 min-window=2
+instance: sub14 fixed=5@sub14,2@sub45
+instance: o26 max-n=40
+instance: sub:3 max-n=10
+instance: sub12 budget=5
+"""
+
+PINNED_CSV = """\
+instance,status,preperiod,period,certified,certified_from,conjectured_2k,divides_2k,in_hypothesis,counterexample,max_n,values_digest,rules_digest
+o26,ok,12,2,false,,4,true,false,false,40,41824981d42aecd5,5d68aaa65077
+o3333p2,ok,0,5,true,5,8,false,false,false,60,389769b12a1972ca,675442638214
+sub12,budget-exceeded,,,false,,4,,true,false,60,,d9900c21e37f
+sub14,ok,0,8,false,,8,true,true,false,60,fd9f6eacb5333255,492fe40433e0
+sub3,not-found,,,false,,6,,true,false,10,bf78e549d85aaeb6,0aff4e971f01
+sub45,ok,27,10,true,27,10,true,true,false,60,28944eddfa7a7560,8b88373f9c34
+"""
+
+
+PINNED_DETAIL = """\
+scan-report
+spec-digest: 08a1e77e5af7a615
+seed: 4
+instances: 6
+
+instance: o26
+status: ok
+max-n: 40
+preperiod: 12
+period: 2
+certified: false
+certified-from: -
+conjectured-2k: 4
+divides-2k: true
+in-hypothesis: false
+counterexample: false
+values-digest: 41824981d42aecd5
+rules-digest: 5d68aaa65077
+
+instance: o3333p2
+status: ok
+max-n: 60
+preperiod: 0
+period: 5
+certified: true
+certified-from: 5
+conjectured-2k: 8
+divides-2k: false
+in-hypothesis: false
+counterexample: false
+values-digest: 389769b12a1972ca
+rules-digest: 675442638214
+
+instance: sub12
+status: budget-exceeded
+max-n: 60
+preperiod: -
+period: -
+certified: false
+certified-from: -
+conjectured-2k: 4
+divides-2k: -
+in-hypothesis: true
+counterexample: false
+values-digest: 
+rules-digest: d9900c21e37f
+
+instance: sub14
+status: ok
+max-n: 60
+preperiod: 0
+period: 8
+certified: false
+certified-from: -
+conjectured-2k: 8
+divides-2k: true
+in-hypothesis: true
+counterexample: false
+values-digest: fd9f6eacb5333255
+rules-digest: 492fe40433e0
+
+instance: sub3
+status: not-found
+max-n: 10
+preperiod: -
+period: -
+certified: false
+certified-from: -
+conjectured-2k: 6
+divides-2k: -
+in-hypothesis: true
+counterexample: false
+values-digest: bf78e549d85aaeb6
+rules-digest: 0aff4e971f01
+
+instance: sub45
+status: ok
+max-n: 60
+preperiod: 27
+period: 10
+certified: true
+certified-from: 27
+conjectured-2k: 10
+divides-2k: true
+in-hypothesis: true
+counterexample: false
+values-digest: 28944eddfa7a7560
+rules-digest: 8b88373f9c34
+"""
+
+
+def test_scan_report_bytes_are_pinned():
+    """Every row kind: certified, splitting and fixed-base ``ok``,
+    ``not-found`` and ``budget-exceeded``.  ``None`` renders as an empty CSV
+    cell and as ``-`` in the detail report; the budget-exceeded row's empty
+    values digest stays empty, so its detail line ends in a space."""
+    report = run_scan(parse_scan_spec(PINNED_SPEC))
+    assert report.to_csv() == PINNED_CSV
+    assert report.to_detail() == PINNED_DETAIL
