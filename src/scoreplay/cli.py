@@ -28,6 +28,7 @@ from scoreplay.octal import (
     OctalRules,
     Position,
     RulesError,
+    _normalize_rules,
     iter_heap_multisets,
     legal_moves,
     parse_position,
@@ -39,7 +40,6 @@ from scoreplay.periods import (
     certified_start,
     check_lemma,
     detect_certified_period,
-    detect_period,
     parse_scan_spec,
     run_scan,
     sequence_digest,
@@ -47,11 +47,10 @@ from scoreplay.periods import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_negative_games(argv))
+        args = _PARSER.parse_args(_attach_negative_games(argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
@@ -145,13 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_rules(refs: list[str]) -> dict[str, OctalRules]:
-    out: dict[str, OctalRules] = {}
-    for ref in refs:
-        rules = resolve_rules_ref(ref)
-        if rules.name in out and out[rules.name] != rules:
-            raise RulesError(f"conflicting rulesets named {rules.name!r}")
-        out[rules.name] = rules
-    return out
+    return _normalize_rules(map(resolve_rules_ref, refs))
 
 
 def _eval_line(game) -> str:
@@ -199,24 +192,22 @@ def _cmd_gs(args) -> int:
     return 0
 
 
-def _sweep_values(args):
+def _sweep_values(args) -> tuple[OctalRules, Position, list]:
+    """The varying heap's ruleset, the base and the swept values."""
     rules = _load_rules(args.rules)
     base = parse_position(args.fixed, known=rules)
     solver = GrundySolver(rules, budget=args.budget)
-    var = args.var
-    if var is None and len(rules) == 1:
-        var = next(iter(rules))
-    values = solver.sweep(args.max_n, var=var, base=base)
-    return rules, base, var, values
+    values = solver.sweep(args.max_n, var=args.var, base=base)
+    return solver.rules[solver._resolve_var(args.var)], base, values
 
 
 def _cmd_table(args) -> int:
-    rules, base, var, values = _sweep_values(args)
+    varying, base, values = _sweep_values(args)
     body = "n,value\n" + "\n".join(f"{n},{format_score(v)}" for n, v in enumerate(values))
     if args.format == "structured":
         print("format: table")
-        print(f"rules: {var}")
-        print(f"rules-digest: {rules[var].digest}")
+        print(f"rules: {varying.name}")
+        print(f"rules-digest: {varying.digest}")
         print(f"fixed: {render_position(base)}")
         print(f"max-n: {args.max_n}")
         print(f"values-digest: {sequence_digest(values)}")
@@ -226,19 +217,17 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    rules, base, var, values = _sweep_values(args)
+    varying, base, values = _sweep_values(args)
     if base.heaps:
         print("note: fixed base position, certification skipped", file=sys.stderr)
-        report = detect_period(values, args.min_window)
-    else:
-        report = detect_certified_period(rules[var], values, args.min_window)
+    report = detect_certified_period(varying, values, args.min_window, base)
     if report is None:
         print(f"period=none checked_up_to={args.max_n} values_digest={sequence_digest(values)}")
         return 0
     cert_from = ""
     if report.certified:
-        cert_from = f" certified_from={certified_start(rules[var], report)}"
-    elif rules[var].splits_heaps:
+        cert_from = f" certified_from={certified_start(varying, report)}"
+    elif varying.splits_heaps:
         print("note: rules can split heaps, report stays empirical", file=sys.stderr)
     elif not base.heaps:
         print("note: no candidate period certifies within this sweep", file=sys.stderr)
@@ -271,9 +260,10 @@ def _cmd_lemma(args) -> int:
 def _cmd_scan(args) -> int:
     spec = parse_scan_spec(Path(args.spec).read_text(encoding="utf-8"))
     report = run_scan(spec)
-    sys.stdout.write(report.to_csv())
+    csv_text = report.to_csv()
+    sys.stdout.write(csv_text)
     if args.out:
-        Path(args.out + ".csv").write_text(report.to_csv(), encoding="utf-8")
+        Path(args.out + ".csv").write_text(csv_text, encoding="utf-8")
         Path(args.out + ".txt").write_text(report.to_detail(), encoding="utf-8")
     return 0
 
@@ -306,6 +296,8 @@ def _cmd_oracle(args) -> int:
     print(f"oracle: {verdict} (rulesets={len(rules)}, positions={total_positions})")
     return 0 if failures == 0 else 1
 
+
+_PARSER = _build_parser()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -323,9 +323,10 @@ class GrundySolver:
 
     The value of a position is the best over all moves of the award minus
     the value of the position left behind; positions without moves are worth
-    zero.  One memo table serves every query, so sweeps share work.  Not
-    thread-safe: give each worker its own solver (values do not depend on
-    evaluation order).
+    zero.  One memo table serves every query, so sweeps share work.  The
+    ``budget`` is cumulative per solver, not per query: it caps the memo and
+    the sweep tables together.  Not thread-safe: give each worker its own
+    solver (values do not depend on evaluation order).
     """
 
     def __init__(self, rules, budget: int | None = None):
@@ -353,6 +354,7 @@ class GrundySolver:
         if got is not None:
             return got
         budget = self.budget
+        tabled = sum(map(len, self._tables.values()))  # the tables do not change in here
         pending_moves: dict[Position, list[MoveOutcome]] = {}
         stack = [position]
         # explicit stack: sweep chains can outrun the recursion limit
@@ -365,7 +367,7 @@ class GrundySolver:
             if moves is None:
                 moves = legal_moves(pos, self.rules)
                 pending_moves[pos] = moves
-                if budget is not None and len(values) + len(pending_moves) > budget:
+                if budget is not None and tabled + len(values) + len(pending_moves) > budget:
                     raise BudgetExceededError(
                         f"position budget exceeded ({budget} positions) "
                         f"evaluating {render_position(position)}"

@@ -10,7 +10,7 @@ here asserts a conjecture is true.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -123,8 +123,9 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
 
     Splitting rules always return False (the report stays empirical): a
     split leaves two heaps, and the recurrence no longer looks back at
-    single heaps alone.  The caller must have swept these rules alone from
-    an empty base.  Raises ValueError when ``values`` ends before the
+    single heaps alone.  The values must come from a sweep of these rules
+    alone from an empty base; :func:`detect_certified_period` enforces
+    that precondition.  Raises ValueError when ``values`` ends before the
     window does.
     """
     if rules.splits_heaps:
@@ -144,7 +145,7 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
 
 
 def detect_certified_period(
-    rules: OctalRules, values: Sequence[Score], min_window: int = 3
+    rules: OctalRules, values: Sequence[Score], min_window: int = 3, base: Position = Position()
 ) -> PeriodReport | None:
     """Detection that prefers a provable period over a shorter empirical one.
 
@@ -153,16 +154,17 @@ def detect_certified_period(
     is a proof, so a spurious short period (say, a constant run at the end
     of the sequence) can never win here: it either lacks the data for its
     window or fails verification, and the search moves on.  When nothing
-    certifies — splitting rules, or too short a sweep — the plain
-    :func:`detect_period` answer is returned unmarked, or None if there is
-    no candidate at all.
+    certifies — too short a sweep — the plain :func:`detect_period` answer
+    is returned unmarked, or None if there is no candidate at all.  A sweep
+    over a nonempty ``base`` or under splitting rules gets that answer
+    directly: the proof needs an empty base and no splits.
     """
+    if base.heaps or rules.splits_heaps:
+        return detect_period(values, min_window)
     first: PeriodReport | None = None
     for candidate in _period_candidates(values, min_window):
         if first is None:
             first = candidate
-        if rules.splits_heaps:
-            break
         try:
             proven = certify_period(rules, candidate, values)
         except ValueError:
@@ -275,27 +277,9 @@ class ScanReport:
     rows: tuple[ScanRow, ...]
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
+        lines = [",".join(_ROW_FIELDS)]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        row.instance,
-                        row.status,
-                        _opt_int(row.preperiod),
-                        _opt_int(row.period),
-                        _bool(row.certified),
-                        _opt_int(row.certified_from),
-                        _opt_int(row.conjectured_2k),
-                        "" if row.divides_2k is None else _bool(row.divides_2k),
-                        _bool(row.in_hypothesis),
-                        _bool(row.counterexample),
-                        str(row.max_n),
-                        row.values_digest,
-                        row.rules_digest,
-                    )
-                )
-            )
+            lines.append(",".join(_cell(getattr(row, name), "") for name in _ROW_FIELDS))
         return "\n".join(lines) + "\n"
 
     def to_detail(self) -> str:
@@ -307,36 +291,25 @@ class ScanReport:
         ]
         for row in self.rows:
             lines.append("")
-            lines.append(f"instance: {row.instance}")
-            lines.append(f"status: {row.status}")
-            lines.append(f"max-n: {row.max_n}")
-            lines.append(f"preperiod: {_opt_int(row.preperiod) or '-'}")
-            lines.append(f"period: {_opt_int(row.period) or '-'}")
-            lines.append(f"certified: {_bool(row.certified)}")
-            lines.append(f"certified-from: {_opt_int(row.certified_from) or '-'}")
-            lines.append(f"conjectured-2k: {_opt_int(row.conjectured_2k) or '-'}")
-            lines.append(
-                "divides-2k: " + ("-" if row.divides_2k is None else _bool(row.divides_2k))
-            )
-            lines.append(f"in-hypothesis: {_bool(row.in_hypothesis)}")
-            lines.append(f"counterexample: {_bool(row.counterexample)}")
-            lines.append(f"values-digest: {row.values_digest}")
-            lines.append(f"rules-digest: {row.rules_digest}")
+            for name in _DETAIL_FIELDS:
+                lines.append(f"{name.replace('_', '-')}: {_cell(getattr(row, name), '-')}")
         return "\n".join(lines) + "\n"
 
 
-_CSV_HEADER = (
-    "instance,status,preperiod,period,certified,certified_from,conjectured_2k,"
-    "divides_2k,in_hypothesis,counterexample,max_n,values_digest,rules_digest"
-)
+_ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
+# the detail report lists max-n right after instance and status
+_DETAIL_FIELDS = _ROW_FIELDS[:2] + ("max_n",) + tuple(n for n in _ROW_FIELDS[2:] if n != "max_n")
 
 
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _opt_int(value: int | None) -> str:
-    return "" if value is None else str(value)
+def _cell(value, none: str) -> str:
+    """One rendered ScanRow field; ``none`` stands for a missing value."""
+    if value is None:
+        return none
+    return _bool(value) if isinstance(value, bool) else str(value)
 
 
 def parse_scan_spec(text: str) -> ScanSpec:
@@ -349,9 +322,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
     optional ``fixed=``, ``max-n=``, ``min-window=``, ``budget=`` settings.
     """
     seed = 0
-    max_n = 500
-    min_window = 3
-    budget: int | None = 1_000_000
+    settings = dict(_SETTING_DEFAULTS)
     instances: list[ScanInstance] = []
     seen_names: set[str] = set()
 
@@ -373,23 +344,16 @@ def parse_scan_spec(text: str) -> ScanSpec:
         try:
             if key == "seed":
                 seed = int(value)
-            elif key == "max-n":
-                max_n = int(value)
-            elif key == "min-window":
-                min_window = int(value)
-            elif key == "budget":
-                budget = None if value.lower() == "none" else int(value)
+            elif key in settings:
+                settings[key] = _parse_setting(key, value)
             elif key == "subtraction-family":
                 ground = _parse_ground_set(value)
                 for subset in _nonempty_subsets(ground):
                     rules = subtraction_rules(subset)
-                    add_instance(
-                        ScanInstance(rules.name, rules, (), Position(), max_n, min_window, budget)
-                    )
+                    instance = ScanInstance(rules.name, rules, (), Position(), *settings.values())
+                    add_instance(instance)
             elif key == "instance":
-                add_instance(
-                    _parse_instance_line(value, max_n, min_window, budget)
-                )
+                add_instance(_parse_instance_line(value, settings))
             else:
                 raise ValueError(f"unknown directive {key!r}")
         except ValueError as exc:
@@ -398,6 +362,15 @@ def parse_scan_spec(text: str) -> ScanSpec:
         raise ValueError("scan spec declares no instances")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     return ScanSpec(seed, tuple(instances), digest)
+
+
+# spec key -> default, for ScanInstance's trailing fields max_n, min_window, budget
+_SETTING_DEFAULTS = {f.name.replace("_", "-"): f.default for f in fields(ScanInstance)[-3:]}
+
+
+def _parse_setting(key: str, value: str) -> int | None:
+    """A ``max-n``, ``min-window`` or ``budget`` value; ``budget`` also takes ``none``."""
+    return None if key == "budget" and value.lower() == "none" else int(value)
 
 
 def _parse_ground_set(value: str) -> list[int]:
@@ -419,24 +392,21 @@ def _nonempty_subsets(ground):
         yield from combinations(ground, size)
 
 
-def _parse_instance_line(value: str, max_n: int, min_window: int, budget: int | None) -> ScanInstance:
+def _parse_instance_line(value: str, defaults: dict[str, int | None]) -> ScanInstance:
     tokens = value.split()
     if not tokens:
         raise ValueError("instance directive needs a rules reference")
     rules = resolve_rules_ref(tokens[0])
     fixed_literal = "-"
+    settings = dict(defaults)
     for token in tokens[1:]:
         key, sep, setting = token.partition("=")
         if not sep:
             raise ValueError(f"bad instance setting {token!r}")
         if key == "fixed":
             fixed_literal = setting
-        elif key == "max-n":
-            max_n = int(setting)
-        elif key == "min-window":
-            min_window = int(setting)
-        elif key == "budget":
-            budget = None if setting.lower() == "none" else int(setting)
+        elif key in settings:
+            settings[key] = _parse_setting(key, setting)
         else:
             raise ValueError(f"unknown instance setting {key!r}")
     fixed = parse_position(fixed_literal)
@@ -448,7 +418,7 @@ def _parse_instance_line(value: str, max_n: int, min_window: int, budget: int | 
         if rebuilt is None:
             raise ValueError(f"fixed position references unknown ruleset {name!r}")
         extra.append(rebuilt)
-    return ScanInstance(rules.name, rules, tuple(extra), fixed, max_n, min_window, budget)
+    return ScanInstance(rules.name, rules, tuple(extra), fixed, *settings.values())
 
 
 def _respects_take_equals_score(rules: OctalRules) -> bool:
@@ -482,38 +452,32 @@ def _in_hypothesis(instance: ScanInstance) -> bool:
 
 def scan_instance(instance: ScanInstance) -> ScanRow:
     """Sweep one instance, detect and (when possible) certify its period."""
-    rules_map = {instance.rules.name: instance.rules}
-    for extra in instance.extra_rules:
-        rules_map[extra.name] = extra
-    solver = GrundySolver(rules_map, budget=instance.budget)
-    k = _largest_remainder_take(instance.rules)
+    rules = instance.rules
+    solver = GrundySolver((rules, *instance.extra_rules), budget=instance.budget)
+    k = _largest_remainder_take(rules)
     two_k = None if k is None else 2 * k
     in_hypothesis = _in_hypothesis(instance)
     try:
-        values = solver.sweep(instance.max_n, var=instance.rules.name, base=instance.fixed)
+        values = solver.sweep(instance.max_n, var=rules.name, base=instance.fixed)
     except BudgetExceededError:
-        return ScanRow(
-            instance.name, "budget-exceeded", None, None, False, None,
-            two_k, None, in_hypothesis, False, instance.max_n, "", instance.rules.digest,
-        )
-    if instance.fixed.heaps:
-        report = detect_period(values, instance.min_window)
+        status, report, digest = "budget-exceeded", None, ""
     else:
-        report = detect_certified_period(instance.rules, values, instance.min_window)
+        report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
+        if report is None:
+            status, digest = "not-found", sequence_digest(values)
     if report is None:
         return ScanRow(
-            instance.name, "not-found", None, None, False, None,
-            two_k, None, in_hypothesis, False, instance.max_n, sequence_digest(values),
-            instance.rules.digest,
+            instance.name, status, None, None, False, None,
+            two_k, None, in_hypothesis, False, instance.max_n, digest, rules.digest,
         )
     certified = report.certified
-    cert_from = certified_start(instance.rules, report) if certified else None
+    cert_from = certified_start(rules, report) if certified else None
     divides = None if two_k is None else (two_k % report.period == 0)
     counterexample = bool(certified and in_hypothesis and divides is False)
     return ScanRow(
         instance.name, "ok", report.preperiod, report.period, certified, cert_from,
         two_k, divides, in_hypothesis, counterexample, instance.max_n, report.sequence_digest,
-        instance.rules.digest,
+        rules.digest,
     )
 
 

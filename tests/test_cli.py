@@ -218,6 +218,13 @@ def test_domain_errors_exit_2(run, argv):
     assert err.startswith("error: ")
 
 
+def test_repeated_calls_share_no_parsed_values(run):
+    """The parser is built once per process; ``append`` lists stay per call."""
+    first = run("sum", "--game", "1", "--game", "2")
+    assert first == (0, "3\n", "")
+    assert run("sum", "--game", "1", "--game", "2") == first
+
+
 def test_usage_error_exits_2(run):
     assert run()[0] == 2
     assert run("eval")[0] == 2

@@ -286,6 +286,15 @@ def test_budget_limits_positions():
         solver.sweep(40)
 
 
+def test_budget_is_cumulative_over_sweep_tables_and_memo():
+    """``value`` counts the sweep tables as ``sweep`` does: the 41 tabled
+    heaps leave too little budget for the 20 memo entries 25@sub45 needs."""
+    solver = GrundySolver(SUB45, budget=50)
+    solver.sweep(40)
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(50 positions\) evaluating 25@sub45$"):
+        solver.value(heap(25))
+
+
 def test_rules_map_key_must_match_name():
     with pytest.raises(RulesError):
         GrundySolver({"wrong": SUB45})
