@@ -148,10 +148,11 @@ def _load_rules(refs: list[str]) -> dict[str, OctalRules]:
 
 
 def _eval_line(game) -> str:
-    sl, sr = final_scores(game)
+    cache: dict = {}  # outcome reads the scores final_scores just computed
+    sl, sr = final_scores(game, cache)
     return (
         f"sl={format_score(sl)} sr={format_score(sr)} "
-        f"outcome={outcome(game).value} impartial={_bool(is_impartial(game))}"
+        f"outcome={outcome(game, cache).value} impartial={_bool(is_impartial(game))}"
     )
 
 

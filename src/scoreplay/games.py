@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import random
 import re
+import threading
+import weakref
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 Score = Fraction
 
@@ -78,40 +80,62 @@ def format_score(value: Score) -> str:
 
 
 class Game:
-    """An immutable scoring-play game in canonical form.
+    """An immutable scoring-play game in canonical form, hash-consed.
 
-    Option sets are stored deduplicated and sorted under
-    :func:`game_order`, so structurally equal games compare equal and hash
-    equal regardless of how they were built.  ``g + h`` is the long-rule
-    disjunctive sum, ``-g`` the mirror image.  Instances are safe to share
-    across threads.
+    Option sets are stored deduplicated and sorted under :func:`game_order`,
+    and every structurally distinct game exists once per process: building
+    a game that is structurally equal to a live one returns that very
+    object, however either was built.  So structurally equal games are the
+    same object (``is``), and equality is identity.  The intern table holds
+    nodes weakly, so a node dies with its last outside reference.  ``g + h``
+    is the long-rule disjunctive sum, ``-g`` the mirror image.  Instances
+    are safe to share across threads, and threads that build the same game
+    get the same object.
     """
 
-    __slots__ = ("score", "left", "right", "_hash")
+    __slots__ = ("score", "left", "right", "_hash", "_key", "__weakref__")
+
+    def __new__(cls, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
+        score = as_score(score)
+        left = _canonical_options(left)
+        right = _canonical_options(right)
+        # Options are interned, so they hash by their cached hashes and
+        # compare by identity: no lookup recurses into subtrees.  A Fraction
+        # is kept in lowest terms, so its two ints name it, and ints hash
+        # and compare far faster than Fractions.
+        num, den = score.numerator, score.denominator
+        key = (num, den, left, right)
+        with _INTERN_LOCK:
+            node = _INTERNED.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                node.score, node.left, node.right = score, left, right
+                node._hash = hash(key)
+                # Tuples order exactly as game_order does: score, then the
+                # option lists lexicographically, a proper prefix first.  An
+                # integral score sorts as an int, which compares faster and
+                # exactly with Fractions.
+                first = num if den == 1 else score
+                node._key = (first, tuple(o._key for o in left), tuple(o._key for o in right))
+                _INTERNED[key] = node
+        return node
 
     def __init__(self, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
-        self.score = as_score(score)
-        self.left = _canonical_options(left)
-        self.right = _canonical_options(right)
-        # cached so hashing stays O(branch) even on heavily shared trees
-        self._hash = hash((self.score, self.left, self.right))
+        """Nothing left to do: ``__new__`` built or found the node.
+
+        Python calls this on every node ``Game(...)`` returns, so wrapping
+        it, as ``perfbench/layertrace.py`` does, still counts every
+        construction.
+        """
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the intern table
+        return (Game, (self.score, self.left, self.right))
 
     @property
     def is_number(self) -> bool:
         """True when the game has no options (a bare final score)."""
         return not self.left and not self.right
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Game):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.score == other.score
-            and self.left == other.left
-            and self.right == other.right
-        )
 
     def __hash__(self):
         return self._hash
@@ -133,31 +157,24 @@ class Game:
         return f"Game({render_game(self)!r})"
 
 
+# (numerator, denominator, left, right) -> the live node.  The lock makes
+# lookup and insertion one step; the table's removal callbacks never take it.
+_INTERNED: weakref.WeakValueDictionary[tuple, Game] = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
 def game_order(a: Game, b: Game) -> int:
     """Total order on games: score, then left options, then right options.
 
-    Option lists compare lexicographically under the same order.  Returns
-    negative, zero, or positive like a three-way comparison.
+    Option lists compare lexicographically under the same order, a proper
+    prefix first.  Returns negative, zero, or positive like a three-way
+    comparison; zero only for the same game.
     """
-    if a is b:
-        return 0
-    if a.score != b.score:
-        return -1 if a.score < b.score else 1
-    c = _sequence_order(a.left, b.left)
-    if c:
-        return c
-    return _sequence_order(a.right, b.right)
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
-def _sequence_order(xs: tuple[Game, ...], ys: tuple[Game, ...]) -> int:
-    for x, y in zip(xs, ys):
-        c = game_order(x, y)
-        if c:
-            return c
-    return (len(xs) > len(ys)) - (len(xs) < len(ys))
-
-
-_ORDER_KEY = cmp_to_key(game_order)
+_SORT_KEY = attrgetter("_key")
 
 
 def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
@@ -166,11 +183,8 @@ def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
         if not isinstance(opt, Game):
             raise TypeError(f"game options must be Game instances, got {type(opt).__name__}")
     if len(opts) > 1:
-        opts = sorted(opts, key=_ORDER_KEY)
-        # options form a set: drop duplicates, which sorting made adjacent
-        opts = tuple(
-            opt for i, opt in enumerate(opts) if i == 0 or opt != opts[i - 1]
-        )
+        # options form a set; equal games are one object, so dedupe by identity
+        opts = tuple(sorted(dict.fromkeys(opts), key=_SORT_KEY))
     return opts
 
 
@@ -255,25 +269,32 @@ def final_scores(game: Game, cache: dict[Game, FinalScores] | None = None) -> Fi
     """
     if cache is None:
         cache = {}
-    got = cache.get(game)
-    if got is not None:
-        return got
-    stack = [game]
-    while stack:
-        node = stack[-1]
-        if node in cache:
-            stack.pop()
-            continue
-        missing = [child for child in node.left if child not in cache]
-        missing += [child for child in node.right if child not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
+    for node in _post_order(game, cache):
         sl = max(cache[child].sr for child in node.left) if node.left else node.score
         sr = min(cache[child].sl for child in node.right) if node.right else node.score
         cache[node] = FinalScores(sl, sr)
-        stack.pop()
     return cache[game]
+
+
+def _post_order(root: Game, done) -> Iterator[Game]:
+    """Yield each node under ``root`` that is not in ``done``, options first.
+
+    The caller adds every yielded node to ``done`` before asking for the
+    next, so each node comes once.  An explicit stack replaces recursion.
+    """
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        missing = [child for child in node.left if child not in done]
+        missing += [child for child in node.right if child not in done]
+        if missing:
+            stack.extend(missing)
+            continue
+        yield node
+        stack.pop()
 
 
 class Outcome(Enum):
@@ -305,8 +326,8 @@ def is_impartial(game: Game) -> bool:
     """Do both players hold mirror-image move sets at the root?
 
     After shifting the root score to zero, every left option must equal the
-    negation of some right option and vice versa (duplicates collapse; the
-    mirror condition recurses through structural equality of the subtrees).
+    negation of some right option and vice versa (duplicates collapse; equal
+    games are one object, so the sets compare by identity).
     Games with options on exactly one side are never impartial.
     """
     if not game.left and not game.right:
@@ -428,12 +449,33 @@ class _Parser:
 
 
 def render_game(game: Game) -> str:
-    """Canonical notation; ``parse_game(render_game(g)) == g``."""
-    if game.is_number:
-        return format_score(game.score)
-    left = ",".join(render_game(option) for option in game.left)
-    right = ",".join(render_game(option) for option in game.right)
-    return f"{{{left}|{format_score(game.score)}|{right}}}"
+    """Canonical notation; ``parse_game(render_game(g)) is g``.
+
+    Renders each distinct node once, options before the node, without
+    recursion.  A node's text is dropped once every node that uses it has
+    been rendered, so a deep chain holds two texts at a time, not all.
+    """
+    users: dict[Game, int] = {}  # distinct parents not yet rendered
+    order: list[Game] = []
+    for node in _post_order(game, users):
+        users[node] = 0
+        for child in {*node.left, *node.right}:
+            users[child] += 1
+        order.append(node)
+    text: dict[Game, str] = {}
+    for node in order:
+        score = format_score(node.score)
+        if node.is_number:
+            text[node] = score
+            continue
+        left = ",".join([text[child] for child in node.left])
+        right = ",".join([text[child] for child in node.right])
+        text[node] = f"{{{left}|{score}|{right}}}"
+        for child in {*node.left, *node.right}:
+            users[child] -= 1
+            if not users[child]:
+                del text[child]
+    return text[game]
 
 
 def render_tree(game: Game) -> str:

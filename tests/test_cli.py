@@ -1,7 +1,9 @@
 """Command-line behavior: exact stdout lines, exit codes, file outputs."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +196,18 @@ def test_scan_missing_spec_file(run, tmp_path):
     code, _, err = run("scan", "--spec", str(tmp_path / "absent.scan"))
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_readme_scan_spec_runs(run, tmp_path):
+    """The spec shown in README.md's Evidence scans section scans cleanly."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    spec = tmp_path / "readme.scan"
+    spec.write_text(re.search(r"### Evidence scans\n.*?```\n(.*?)```", readme, re.S).group(1))
+    code, out, err = run("scan", "--spec", str(spec))
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 127 + 2  # the 1-7 family, o3333p2 and sub48
+    assert all(",ok," in row for row in rows)
 
 
 # ---------------------------------------------------------------------------

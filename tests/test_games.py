@@ -1,12 +1,20 @@
 """Game trees: notation, exact scores, operators, outcomes, impartiality."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoreplay.cli import main
 from scoreplay.games import (
+    _INTERNED,
     FinalScores,
     Game,
     NotationError,
@@ -95,7 +103,7 @@ def test_format_score_integers_bare_fractions_slashed():
 )
 def test_parse_render_round_trip(text):
     game = parse_game(text)
-    assert parse_game(render_game(game)) == game
+    assert parse_game(render_game(game)) is game
 
 
 def test_numbers_render_bare():
@@ -107,14 +115,16 @@ def test_option_order_is_canonical():
     """Listing options in either order parses to the same game."""
     a = parse_game("{2,1|0|}")
     b = parse_game("{1,2|0|}")
-    assert a == b
+    assert a is b
     assert hash(a) == hash(b)
     assert render_game(a) == render_game(b)
 
 
 def test_duplicate_options_collapse():
     """Options form a set, so repeating one changes nothing."""
-    assert parse_game("{1,1|0|}") == parse_game("{1|0|}")
+    assert parse_game("{1,1|0|}") is parse_game("{1|0|}")
+    one = number(1)
+    assert Game(0, [one, number(1), one]).left == (one,)
     total = parse_game("{4|3|2}") + parse_game("{1|0|-1}")
     assert render_game(total) == "{{5|4|3}|3|{3|2|1}}"
 
@@ -294,7 +304,13 @@ def test_sum_associates(g, h, k):
 @settings(max_examples=60, deadline=None)
 @given(games)
 def test_negate_is_an_involution(g):
-    assert negate(negate(g)) == g
+    assert negate(negate(g)) is g
+
+
+@settings(max_examples=60, deadline=None)
+@given(games, scores)
+def test_translate_back_is_the_same_game(g, t):
+    assert translate(translate(g, t), -t) is g
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,4 +345,109 @@ def test_adding_a_number_shifts_final_scores(g, t):
 @settings(max_examples=60, deadline=None)
 @given(games)
 def test_round_trip_through_notation(g):
-    assert parse_game(render_game(g)) == g
+    assert parse_game(render_game(g)) is g
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: one object per structurally distinct game
+
+
+def _reference_order(a: Game, b: Game) -> int:
+    """game_order as first defined: recursive, over scores and option lists."""
+    if a.score != b.score:
+        return -1 if a.score < b.score else 1
+    for xs, ys in ((a.left, b.left), (a.right, b.right)):
+        for x, y in zip(xs, ys):
+            c = _reference_order(x, y)
+            if c:
+                return c
+        if len(xs) != len(ys):
+            return -1 if len(xs) < len(ys) else 1
+    return 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(games, max_size=6))
+def test_sort_key_orders_like_the_reference_order(options):
+    """Canonical option order and game_order agree with the recursive definition."""
+    distinct = list({id(g): g for g in options}.values())
+    assert Game(0, options).left == tuple(sorted(distinct, key=cmp_to_key(_reference_order)))
+    for a in distinct:
+        for b in distinct:
+            assert game_order(a, b) == _reference_order(a, b)
+
+
+def _chain(depth: int, leaf) -> Game:
+    game = number(leaf)
+    for _ in range(depth):
+        game = Game(0, [game])
+    return game
+
+
+def test_deep_chains_differing_at_the_leaf_sort_as_siblings():
+    low, high = _chain(300, 0), _chain(300, 1)
+    assert low is not high
+    assert Game(0, [high, low]).left == (low, high)
+    assert game_order(low, high) < 0 < game_order(high, low)
+    assert _chain(300, 0) is low
+
+
+def test_deep_game_renders_without_recursion():
+    depth = 5000
+    game = _chain(depth, 7)
+    assert render_game(game) == "{" * depth + "7" + "|0|}" * depth
+    assert final_scores(game) == FinalScores(Fraction(0), Fraction(0))
+
+
+def test_copy_deepcopy_and_pickle_return_the_interned_game():
+    game = parse_game("{2,{11|4|-3}|3|4,{9|2|-5}}")
+    assert copy.copy(game) is game
+    assert copy.deepcopy(game) is game
+    assert pickle.loads(pickle.dumps(game)) is game
+
+
+def test_interned_games_die_with_their_last_reference():
+    gc.collect()
+    before = len(_INTERNED)
+    game = parse_game("{{1001/7|1002/7|1003/7}|1004/7|1005/7}")
+    assert len(_INTERNED) == before + 5
+    del game
+    gc.collect()
+    assert len(_INTERNED) == before
+
+
+def test_cli_call_leaves_no_games_behind(capsys):
+    gc.collect()
+    before = len(_INTERNED)
+    game = "{{2001/7|2002/7|2003/7}|2002/7|{2001/7|2002/7|2003/7}}"
+    assert main(["sum", "--game", game, "--game", "{{0|0|0}|0|{0|0|0}}", "--eval"]) == 0
+    assert capsys.readouterr().out.endswith("sl=2003/7 sr=2001/7 outcome=L impartial=true\n")
+    gc.collect()
+    assert len(_INTERNED) <= before
+
+
+def test_threads_building_the_same_games_get_the_same_objects():
+    texts = [render_game(generate_impartial(max_depth=3, max_branch=3, seed=9000 + i)) for i in range(200)]
+    # only the texts outlive the line above, so the threads race to intern each game
+    barrier = threading.Barrier(4)
+    built: list[list[Game]] = [[] for _ in range(4)]
+
+    def build(out: list[Game]) -> None:
+        barrier.wait(timeout=30)
+        out.extend(parse_game(text) for text in texts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == len(texts) for out in built)
+    for games_a, games_b in zip(built, built[1:]):
+        assert all(a is b for a, b in zip(games_a, games_b))
+    assert [render_game(g) for g in built[0]] == texts
