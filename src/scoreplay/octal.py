@@ -224,7 +224,17 @@ class Position:
                 raise ValueError(f"heap size cannot be negative: {size}")
             if size:
                 cleaned.append((str(ruleset), size))
-        object.__setattr__(self, "heaps", tuple(sorted(cleaned)))
+        heaps = tuple(sorted(cleaned))
+        object.__setattr__(self, "heaps", heaps)
+        # positions key the solver's memos; a tuple recomputes its hash each time
+        object.__setattr__(self, "_hash", hash(heaps))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so rebuild rather than copy _hash
+        return (Position, (self.heaps,))
 
     @property
     def total(self) -> int:
@@ -318,6 +328,18 @@ def legal_moves(position: Position, rules: Mapping[str, OctalRules]) -> list[Mov
     return sorted(found.values(), key=_move_key)
 
 
+class _ScaledFractions(dict):
+    """Maps a scaled int ``x`` to ``Fraction(x, scale)``, built once per ``x``."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, scaled: int) -> Fraction:
+        got = self[scaled] = Fraction(scaled, self.scale)
+        return got
+
+
 class GrundySolver:
     """Memoized evaluator for the first player's optimal score differential.
 
@@ -327,15 +349,27 @@ class GrundySolver:
     ``budget`` is cumulative per solver, not per query: it caps the memo and
     the sweep tables together.  Not thread-safe: give each worker its own
     solver (values do not depend on evaluation order).
+
+    The solver computes in ints: every award, value and running score is
+    kept multiplied by ``scale``, the LCM of the award denominators over all
+    loaded rulesets, which is exact.  A value becomes a Fraction only where
+    a public method returns it, one Fraction per distinct value.
+    :meth:`to_game` generates each position's moves once, however many
+    running scores reach it; :meth:`value` drops a position's moves as soon
+    as the position is valued.
     """
 
     def __init__(self, rules, budget: int | None = None):
         self.rules = _normalize_rules(rules)
         self.budget = budget
-        self._values: dict[Position, Score] = {}
-        self._games: dict[tuple[Position, Score], Game] = {}
-        # single-heap values of non-splitting rulesets, scaled to ints (see sweep)
+        self.scale = math.lcm(*(p.denominator for r in self.rules.values() for p in r.points))
+        self._values: dict[Position, int] = {}
+        # single-heap values of non-splitting rulesets (see sweep)
         self._tables: dict[str, list[int]] = {}
+        # to_game's expansion: each position's moves, and one node per running score
+        self._moves: dict[Position, list[tuple[int, Position]]] = {}
+        self._games: dict[tuple[Position, int], Game] = {}
+        self._as_fraction = _ScaledFractions(self.scale)
 
     @property
     def positions_evaluated(self) -> int:
@@ -344,18 +378,32 @@ class GrundySolver:
 
     def clear_cache(self) -> None:
         self._values.clear()
-        self._games.clear()
         self._tables.clear()
+        self._moves.clear()
+        self._games.clear()
+        self._as_fraction.clear()
+
+    def _scaled(self, award: Score) -> int:
+        return award.numerator * self.scale // award.denominator
+
+    def _scaled_moves(self, position: Position) -> list[tuple[int, Position]]:
+        """``legal_moves`` as ``(scaled award, next position)`` pairs."""
+        return [(self._scaled(move.points), move.next) for move in legal_moves(position, self.rules)]
 
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
+        return self._as_fraction[self._scaled_value(position)]
+
+    def _scaled_value(self, position: Position) -> int:
         values = self._values
         got = values.get(position)
         if got is not None:
             return got
         budget = self.budget
         tabled = sum(map(len, self._tables.values()))  # the tables do not change in here
-        pending_moves: dict[Position, list[MoveOutcome]] = {}
+        # each list lives only until its position is valued: keeping them
+        # all would hold every move of every position reached
+        pending_moves: dict[Position, list[tuple[int, Position]]] = {}
         stack = [position]
         # explicit stack: sweep chains can outrun the recursion limit
         while stack:
@@ -365,21 +413,21 @@ class GrundySolver:
                 continue
             moves = pending_moves.get(pos)
             if moves is None:
-                moves = legal_moves(pos, self.rules)
+                moves = self._scaled_moves(pos)
                 pending_moves[pos] = moves
                 if budget is not None and tabled + len(values) + len(pending_moves) > budget:
                     raise BudgetExceededError(
                         f"position budget exceeded ({budget} positions) "
                         f"evaluating {render_position(position)}"
                     )
-            missing = [move.next for move in moves if move.next not in values]
+            missing = [nxt for _, nxt in moves if nxt not in values]
             if missing:
                 stack.extend(missing)
                 continue
             if moves:
-                values[pos] = max(move.points - values[move.next] for move in moves)
+                values[pos] = max(award - values[nxt] for award, nxt in moves)
             else:
-                values[pos] = _ZERO
+                values[pos] = 0
             del pending_moves[pos]
             stack.pop()
         return values[position]
@@ -389,8 +437,9 @@ class GrundySolver:
         moves = legal_moves(position, self.rules)
         if not moves:
             raise ValueError(f"no legal moves from {render_position(position)}")
-        best = max(move.points - self.value(move.next) for move in moves)
-        return [move for move in moves if move.points - self.value(move.next) == best]
+        results = [self._scaled(move.points) - self._scaled_value(move.next) for move in moves]
+        best = max(results)
+        return [move for move, result in zip(moves, results) if result == best]
 
     def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[Score]:
         """Values of ``base`` plus one growing heap, for sizes 0..max_n.
@@ -401,11 +450,10 @@ class GrundySolver:
         With an empty base and a ruleset that never splits a heap, every
         position reached is a single heap of that ruleset, so the sweep runs
         the recurrence ``v[n] = max(points[k] - v[n - k])`` over a flat table
-        of ints: awards are scaled by the LCM of their denominators, and
-        values become Fractions only on return.  The table is kept per
-        ruleset, a longer sweep extends it, and it counts toward
-        ``positions_evaluated`` and the budget.  Every other sweep evaluates
-        each entry with :meth:`value`.  The values are the same either way.
+        of scaled ints.  The table is kept per ruleset, a longer sweep
+        extends it, and it counts toward ``positions_evaluated`` and the
+        budget.  Every other sweep evaluates each entry with :meth:`value`.
+        The values are the same either way.
         """
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
@@ -413,12 +461,10 @@ class GrundySolver:
         rules = self.rules[var]
         if base.heaps or rules.splits_heaps:
             return [self.value(base.add_heap(var, n)) for n in range(max_n + 1)]
-        scale = math.lcm(*(p.denominator for p in rules.points))
-        table = self._single_heap_table(rules, scale, max_n)[: max_n + 1]
-        as_fraction = {x: Fraction(x, scale) for x in set(table)}
-        return [as_fraction[x] for x in table]
+        as_fraction = self._as_fraction
+        return [as_fraction[x] for x in self._single_heap_table(rules, max_n)[: max_n + 1]]
 
-    def _single_heap_table(self, rules: OctalRules, scale: int, max_n: int) -> list[int]:
+    def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
         """Scaled values of single heaps 0..max_n or more, extending the table."""
         table = self._tables.setdefault(rules.name, [])
         stop = max_n + 1
@@ -426,7 +472,7 @@ class GrundySolver:
             # the entry that would take the count past the budget is not computed
             stop = min(stop, len(table) + max(self.budget - self.positions_evaluated, 0))
         digits = rules.digits
-        awards = [int(p * scale) for p in rules.points]
+        awards = [self._scaled(p) for p in rules.points]
         keeps = [(take, awards[take - 1]) for take, d in enumerate(digits, start=1) if d & 2]
         for n in range(len(table), min(stop, len(digits) + 1)):
             options = [award - table[n - take] for take, award in keeps if take < n]
@@ -449,24 +495,42 @@ class GrundySolver:
         Left's awards add to the running score and Right's subtract, so the
         final scores of the expansion match the evaluator's value and its
         negation.  Subtrees are shared where the same sub-position and
-        running score recur; ``max_total`` bounds the beans in play.
+        running score recur, and each position's moves are generated once
+        for all the running scores it is reached with.  ``max_total`` bounds
+        the beans in play.
         """
         if position.total > max_total:
             raise ExpansionLimitError(
                 f"position has {position.total} beans, expansion bound is {max_total}"
             )
-        return self._expand(position, _ZERO)
-
-    def _expand(self, position: Position, offset: Score) -> Game:
-        key = (position, offset)
-        got = self._games.get(key)
-        if got is None:
-            moves = legal_moves(position, self.rules)
-            left = [self._expand(move.next, offset + move.points) for move in moves]
-            right = [self._expand(move.next, offset - move.points) for move in moves]
-            got = Game(offset, left, right)
-            self._games[key] = got
-        return got
+        games = self._games
+        moves_of = self._moves
+        as_fraction = self._as_fraction
+        # Explicit stack, as in value: a chain of one-bean moves is as deep
+        # as the heap.  An entry carries its moves once its options are
+        # pushed above it.  The entries carrying moves below it are its
+        # ancestors, and every move removes beans, so none of them is an
+        # option: all its options are built when the entry is popped again.
+        stack: list[tuple[Position, int, list | None]] = [(position, 0, None)]
+        while stack:
+            pos, offset, moves = stack.pop()
+            if moves is not None:
+                games[pos, offset] = Game(
+                    as_fraction[offset],
+                    [games[nxt, offset + award] for award, nxt in moves],
+                    [games[nxt, offset - award] for award, nxt in moves],
+                )
+                continue
+            if (pos, offset) in games:
+                continue
+            moves = moves_of.get(pos)
+            if moves is None:
+                moves = moves_of[pos] = self._scaled_moves(pos)
+            stack.append((pos, offset, moves))
+            for award, nxt in moves:
+                stack.append((nxt, offset + award, None))
+                stack.append((nxt, offset - award, None))
+        return games[position, 0]
 
     def _resolve_var(self, var: str | None) -> str:
         if var is None:

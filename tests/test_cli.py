@@ -167,6 +167,43 @@ def test_lemma_pass(run):
     assert out.splitlines()[-1] == "status=pass"
 
 
+FRACTIONAL = "name: frac; digits: 1 7 6; points: 1/2 -2/3 3/4"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["gs", "--rules", FRACTIONAL, "--rules", "sub23", "--position", "2@frac,6@sub23"],
+            "value=-2/3\n"
+            "best: take=2 points=-2/3 next=6@sub23\n"
+            "best: take=3 points=3 next=2@frac,3@sub23\n",
+        ),
+        (
+            ["gs", "--rules", FRACTIONAL, "--rules", "sub23", "--position", "3@frac,5@sub23"],
+            "value=-1/6\nbest: take=3 points=3 next=3@frac,2@sub23\n",
+        ),
+        (
+            ["table", "--rules", FRACTIONAL, "--max-n", "14", "--fixed", "4@frac"],
+            "n,value\n0,1/4\n1,3/4\n2,0\n3,1/2\n4,0\n5,3/4\n6,1/4\n7,3/4\n8,1/4\n"
+            "9,17/12\n10,23/12\n11,3/4\n12,1/4\n13,3/4\n14,1/4\n",
+        ),
+        (
+            ["oracle", "--rules", "o26", "--rules", "o3333p2", "--rules", FRACTIONAL, "--max-total", "6"],
+            "ruleset frac: positions=30 pass\n"
+            "ruleset o26: positions=30 pass\n"
+            "ruleset o3333p2: positions=30 pass\n"
+            "oracle: pass (rulesets=3, positions=90)\n",
+        ),
+    ],
+    ids=["gs-two-best", "gs-one-best", "table-fixed", "oracle"],
+)
+def test_octal_output_bytes_are_pinned(run, argv, expected):
+    """Fractional and negative awards, mixed rulesets, a fixed base: every
+    printed score is in lowest terms with the sign on the numerator."""
+    assert run(*argv) == (0, expected, "")
+
+
 def test_oracle_small(run):
     code, out, _ = run("oracle", "--rules", "nim:2", "--max-total", "5")
     assert code == 0

@@ -1,11 +1,20 @@
 """Octal heap games: rules, positions, move generation, exact values."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scoreplay import octal
 from scoreplay.games import FinalScores, final_scores, parse_game
 from scoreplay.octal import (
     BudgetExceededError,
@@ -181,6 +190,26 @@ def test_parse_position_errors():
 def test_render_position_round_trip():
     for text in ["-", "13@sub45", "2@o26,3@sub45,9@sub45"]:
         assert render_position(parse_position(text)) == text
+
+
+def test_position_copies_rebuild_their_hash():
+    """A position caches its hash, and string hashes differ between
+    processes, so a pickle must not carry the cached value along."""
+    position = parse_position("3@sub45,5@o26")
+    assert copy.copy(position) == position
+    assert hash(copy.deepcopy(position)) == hash(position)
+    check = (
+        "import pickle, sys\n"
+        "from scoreplay.octal import Position\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert hash(p) == hash(Position(p.heaps)), 'stale hash'\n"
+    )
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(octal.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", check], input=pickle.dumps(position), env=env, capture_output=True
+        )
+        assert result.returncode == 0, result.stderr.decode()
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +434,137 @@ def test_generic_sweeps_keep_their_memo_growth(rules, base):
 
 
 # ---------------------------------------------------------------------------
+# The scaled-int solver against an evaluator in Fraction arithmetic
+
+
+class FractionReference:
+    """``value`` and ``best_moves`` in Fraction arithmetic, the loop the
+    solver ran before it scaled values to ints, budget check included."""
+
+    def __init__(self, rules, budget=None):
+        self.rules = rules
+        self.budget = budget
+        self.values = {}
+
+    @property
+    def positions_evaluated(self):
+        return len(self.values)
+
+    def value(self, position):
+        values = self.values
+        if position in values:
+            return values[position]
+        pending_moves = {}
+        stack = [position]
+        while stack:
+            pos = stack[-1]
+            if pos in values:
+                stack.pop()
+                continue
+            moves = pending_moves.get(pos)
+            if moves is None:
+                moves = legal_moves(pos, self.rules)
+                pending_moves[pos] = moves
+                if self.budget is not None and len(values) + len(pending_moves) > self.budget:
+                    raise BudgetExceededError(
+                        f"position budget exceeded ({self.budget} positions) "
+                        f"evaluating {render_position(position)}"
+                    )
+            missing = [move.next for move in moves if move.next not in values]
+            if missing:
+                stack.extend(missing)
+                continue
+            if moves:
+                values[pos] = max(move.points - values[move.next] for move in moves)
+            else:
+                values[pos] = Fraction(0)
+            del pending_moves[pos]
+            stack.pop()
+        return values[position]
+
+    def best_moves(self, position):
+        moves = legal_moves(position, self.rules)
+        best = max(move.points - self.value(move.next) for move in moves)
+        return [move for move in moves if move.points - self.value(move.next) == best]
+
+
+def rules_named(name):
+    """Random take-and-break rulesets, splitting digits included."""
+    return st.lists(st.tuples(st.integers(0, 7), awards), min_size=1, max_size=4).filter(
+        lambda moves: any(d for d, _ in moves)
+    ).map(lambda moves: OctalRules(name, [d for d, _ in moves], [p for _, p in moves]))
+
+
+two_ruleset_heaps = st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 5)), max_size=3).filter(
+    lambda heaps: sum(size for _, size in heaps) <= 9
+)
+HALF = OctalRules("a", (7, 2), (Fraction(1, 2), Fraction(-1)))
+TWO_THIRDS = OctalRules("b", (3, 6), (Fraction(2, 3), Fraction(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules_named("a"), rules_named("b"), two_ruleset_heaps)
+@example(HALF, TWO_THIRDS, [("a", 5), ("b", 4)])
+def test_scaled_solver_matches_fraction_reference(a, b, heaps):
+    """Fractional, negative and zero awards, splitting digits, and two
+    rulesets whose award denominators differ in one position."""
+    rules = {"a": a, "b": b}
+    position = Position(tuple(heaps))
+    solver = GrundySolver(rules)
+    reference = FractionReference(rules)
+    value = reference.value(position)
+    got = solver.value(position)
+    assert got == value
+    assert type(got) is Fraction
+    if legal_moves(position, rules):
+        assert solver.best_moves(position) == reference.best_moves(position)
+    assert final_scores(solver.to_game(position)) == FinalScores(value, -value)
+
+
+def test_scale_is_one_lcm_over_all_rulesets():
+    solver = GrundySolver([HALF, TWO_THIRDS])
+    assert solver.scale == 6
+    assert solver.value(Position((("a", 1), ("b", 1)))) == Fraction(2, 3) - Fraction(1, 2)
+    assert solver.sweep(3, var="b") == [0, Fraction(2, 3), 0, Fraction(2, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rules_named("a"), rules_named("b"), two_ruleset_heaps, st.integers(0, 30))
+def test_budget_errors_match_fraction_reference(a, b, heaps, budget):
+    rules = {"a": a, "b": b}
+    position = Position(tuple(heaps))
+    ask = lambda solver: solver.value(position)  # noqa: E731
+    assert budget_outcome(ask, GrundySolver(rules, budget=budget)) == budget_outcome(
+        ask, FractionReference(rules, budget=budget)
+    )
+
+
+def test_to_game_generates_each_positions_moves_once(monkeypatch):
+    calls = Counter()
+
+    def counting_legal_moves(position, rules):
+        calls[position] += 1
+        return legal_moves(position, rules)
+
+    monkeypatch.setattr(octal, "legal_moves", counting_legal_moves)
+    solver = GrundySolver(rules_from_name("o26"))
+    for heaps in iter_heap_multisets(8):
+        solver.to_game(Position(tuple(("o26", size) for size in heaps)))
+    assert len(calls) == 67  # every position of at most 8 beans is reached
+    assert set(calls.values()) == {1}
+
+
+def test_value_keeps_no_move_lists():
+    """Move lists live only while ``value`` runs; kept, they would hold
+    every move of every position the memo reaches."""
+    solver = GrundySolver(rules_from_name("o26"))
+    solver.value(Position((("o26", 20),)))
+    for name, attr in vars(solver).items():
+        if isinstance(attr, dict):
+            assert not any(isinstance(v, list) for v in attr.values()), name
+
+
+# ---------------------------------------------------------------------------
 # Expansion to explicit games
 
 
@@ -436,6 +596,17 @@ def test_expansion_limit_guards_blowup():
     with pytest.raises(ExpansionLimitError):
         GrundySolver(SUB45).to_game(heap(17))
     GrundySolver(SUB45).to_game(heap(17), max_total=17)  # explicit opt-in works
+
+
+def test_deep_expansion_does_not_hit_recursion_limit():
+    """With zero awards a 5,000-bean heap expands to a 5,000-deep chain."""
+    solver = GrundySolver(OctalRules("z1", (3,), (0,)))
+    position = Position((("z1", 5000),))
+    start = time.perf_counter()
+    game = solver.to_game(position, max_total=5000)
+    assert time.perf_counter() - start < 1.0
+    value = solver.value(position)
+    assert final_scores(game) == FinalScores(value, -value)
 
 
 # ---------------------------------------------------------------------------
