@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import pickle
 import sys
 import threading
@@ -273,6 +274,15 @@ def test_generator_impartiality_is_hereditary():
         stack.extend(game.left)
         stack.extend(game.right)
     assert len(seen) > 1
+
+
+def test_generator_output_is_pinned():
+    """The mirror construction reproduces the same trees, byte for byte."""
+    digest = hashlib.sha256()
+    for seed in range(500):
+        game = generate_impartial(max_depth=4, max_branch=3, seed=seed)
+        digest.update(render_game(game).encode() + b"\n")
+    assert digest.hexdigest() == "04780effd77649c94dc9f05c7c20ee96a384e41d0abbe4d78bf3fad5d64256bc"
 
 
 def test_render_tree_two_level_layout():
