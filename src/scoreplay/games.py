@@ -93,16 +93,15 @@ class Game:
     get the same object.
     """
 
-    __slots__ = ("score", "left", "right", "_hash", "_key", "__weakref__")
+    __slots__ = ("score", "left", "right", "_key", "__weakref__")
 
     def __new__(cls, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
         score = as_score(score)
         left = _canonical_options(left)
         right = _canonical_options(right)
-        # Options are interned, so they hash by their cached hashes and
-        # compare by identity: no lookup recurses into subtrees.  A Fraction
-        # is kept in lowest terms, so its two ints name it, and ints hash
-        # and compare far faster than Fractions.
+        # Options are interned, so they hash and compare by identity: no
+        # lookup recurses into subtrees.  A Fraction is kept in lowest terms,
+        # so its two ints name it, and ints hash and compare far faster.
         num, den = score.numerator, score.denominator
         key = (num, den, left, right)
         with _INTERN_LOCK:
@@ -110,7 +109,6 @@ class Game:
             if node is None:
                 node = object.__new__(cls)
                 node.score, node.left, node.right = score, left, right
-                node._hash = hash(key)
                 # Tuples order exactly as game_order does: score, then the
                 # option lists lexicographically, a proper prefix first.  An
                 # integral score sorts as an int, which compares faster and
@@ -136,9 +134,6 @@ class Game:
     def is_number(self) -> bool:
         """True when the game has no options (a bare final score)."""
         return not self.left and not self.right
-
-    def __hash__(self):
-        return self._hash
 
     def __add__(self, other):
         if not isinstance(other, Game):
@@ -193,22 +188,27 @@ def number(score) -> Game:
     return Game(score)
 
 
+def reflect(game: Game, about) -> Game:
+    """Swap every node's option sides and map each score x to ``about - x``.
+
+    ``negate(g) == reflect(g, 0)``, and ``reflect(reflect(g, c), c) is g``.
+    A game is impartial at its root when its left options are its right
+    options reflected about twice its score.
+    """
+    about = as_score(about)
+    done: dict[Game, Game] = {}
+    for node in _post_order(game, done):
+        done[node] = Game(
+            about - node.score,
+            [done[child] for child in node.right],
+            [done[child] for child in node.left],
+        )
+    return done[game]
+
+
 def negate(game: Game) -> Game:
     """Mirror image: swap the option sides and negate every score."""
-    memo: dict[int, Game] = {}
-
-    def go(node: Game) -> Game:
-        got = memo.get(id(node))
-        if got is None:
-            got = Game(
-                -node.score,
-                [go(child) for child in node.right],
-                [go(child) for child in node.left],
-            )
-            memo[id(node)] = got
-        return got
-
-    return go(game)
+    return reflect(game, 0)
 
 
 def translate(game: Game, amount) -> Game:
@@ -216,20 +216,14 @@ def translate(game: Game, amount) -> Game:
     amount = as_score(amount)
     if amount == 0:
         return game
-    memo: dict[int, Game] = {}
-
-    def go(node: Game) -> Game:
-        got = memo.get(id(node))
-        if got is None:
-            got = Game(
-                node.score + amount,
-                [go(child) for child in node.left],
-                [go(child) for child in node.right],
-            )
-            memo[id(node)] = got
-        return got
-
-    return go(game)
+    done: dict[Game, Game] = {}
+    for node in _post_order(game, done):
+        done[node] = Game(
+            node.score + amount,
+            [done[child] for child in node.left],
+            [done[child] for child in node.right],
+        )
+    return done[game]
 
 
 def add(g: Game, h: Game) -> Game:
@@ -237,23 +231,21 @@ def add(g: Game, h: Game) -> Game:
 
     A move in the sum is a move in one component with the other left alone,
     so play continues while the mover has an option anywhere; node scores
-    add.  Memoized over subtree pairs, which keeps shared structure shared.
+    add.  Every pair of a node under ``g`` and a node under ``h`` is reached,
+    and each is built once, after the pairs its options lead to.
     """
-    memo: dict[tuple[int, int], Game] = {}
-
-    def go(a: Game, b: Game) -> Game:
-        key = (id(a), id(b))
-        got = memo.get(key)
-        if got is None:
-            left = [go(al, b) for al in a.left]
-            left += [go(a, bl) for bl in b.left]
-            right = [go(ar, b) for ar in a.right]
-            right += [go(a, br) for br in b.right]
-            got = Game(a.score + b.score, left, right)
-            memo[key] = got
-        return got
-
-    return go(g, h)
+    h_nodes: dict[Game, None] = {}
+    for b in _post_order(h, h_nodes):
+        h_nodes[b] = None
+    done: dict[tuple[Game, Game], Game] = {}
+    g_nodes: dict[Game, None] = {}
+    for a in _post_order(g, g_nodes):
+        g_nodes[a] = None
+        for b in h_nodes:
+            left = [done[al, b] for al in a.left] + [done[a, bl] for bl in b.left]
+            right = [done[ar, b] for ar in a.right] + [done[a, br] for br in b.right]
+            done[a, b] = Game(a.score + b.score, left, right)
+    return done[g, h]
 
 
 class FinalScores(NamedTuple):
@@ -325,19 +317,13 @@ def outcome(game: Game, cache: dict[Game, FinalScores] | None = None) -> Outcome
 def is_impartial(game: Game) -> bool:
     """Do both players hold mirror-image move sets at the root?
 
-    After shifting the root score to zero, every left option must equal the
-    negation of some right option and vice versa (duplicates collapse; equal
-    games are one object, so the sets compare by identity).
-    Games with options on exactly one side are never impartial.
+    The left options must be the right options reflected about twice the
+    root score (duplicates collapse; equal games are one object, so the
+    sets compare by identity).  Games with options on exactly one side are
+    never impartial.
     """
-    if not game.left and not game.right:
-        return True
-    if not game.left or not game.right:
-        return False
-    shift = -game.score
-    lefts = {translate(option, shift) for option in game.left}
-    mirrored_rights = {negate(translate(option, shift)) for option in game.right}
-    return lefts == mirrored_rights
+    about = 2 * game.score
+    return set(game.left) == {reflect(option, about) for option in game.right}
 
 
 def identity_game() -> Game:
@@ -353,8 +339,8 @@ def identity_game() -> Game:
 def generate_impartial(max_depth: int, max_branch: int, score_bound=4, seed: int = 0) -> Game:
     """Random impartial game, deterministic in ``seed``.
 
-    Left options are generated recursively; each right option is the exact
-    mirror of a left option after shifting that node's score to zero.  The
+    Left options are generated recursively; each right option is a left
+    option reflected about twice that node's score (see :func:`reflect`).  The
     mirror construction is applied at every node, so the whole tree, not
     just the root, is impartial.
     """
@@ -374,7 +360,7 @@ def generate_impartial(max_depth: int, max_branch: int, score_bound=4, seed: int
         score = random_score()
         width = rng.randint(0, max_branch) if depth > 0 else 0
         lefts = [build(depth - 1) for _ in range(width)]
-        rights = [translate(negate(translate(option, -score)), score) for option in lefts]
+        rights = [reflect(option, 2 * score) for option in lefts]
         return Game(score, lefts, rights)
 
     return build(max_depth)
@@ -407,25 +393,38 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse_game(self) -> Game:
-        if self.peek() == "{":
-            self.pos += 1
-            left = self.parse_options()
-            self.expect("|")
-            score = self.parse_score_literal()
-            self.expect("|")
-            right = self.parse_options()
-            self.expect("}")
-            return Game(score, left, right)
-        return Game(self.parse_score_literal())
-
-    def parse_options(self) -> list[Game]:
-        if self.peek() in ("|", "}"):
-            return []
-        options = [self.parse_game()]
-        while self.peek() == ",":
-            self.pos += 1
-            options.append(self.parse_game())
-        return options
+        # One frame per open brace: [score, left options] until the left
+        # options end, then [score, left options, right options].
+        frames: list[list] = []
+        while True:
+            if self.peek() == "{":
+                self.pos += 1
+                frames.append([None, []])
+                game = None  # an option list starts
+            else:
+                game = Game(self.parse_score_literal())
+            while frames:  # close every list and brace that this completes
+                frame = frames[-1]
+                if game is None:
+                    if self.peek() not in ("|", "}"):
+                        break  # read the list's first option
+                else:
+                    frame[-1].append(game)
+                    if self.peek() == ",":
+                        self.pos += 1
+                        break  # read the next option
+                if len(frame) == 2:
+                    self.expect("|")
+                    frame[0] = self.parse_score_literal()
+                    self.expect("|")
+                    frame.append([])
+                    game = None
+                    continue
+                self.expect("}")
+                frames.pop()
+                game = Game(*frame)
+            else:
+                return game
 
     def parse_score_literal(self) -> Score:
         self._skip_ws()
@@ -481,14 +480,11 @@ def render_game(game: Game) -> str:
 def render_tree(game: Game) -> str:
     """Indented tree, one line per node, options tagged L or R."""
     lines: list[str] = []
-
-    def walk(node: Game, depth: int, tag: str) -> None:
-        prefix = "  " * depth + (f"{tag} " if tag else "")
-        lines.append(prefix + format_score(node.score))
-        for child in node.left:
-            walk(child, depth + 1, "L")
-        for child in node.right:
-            walk(child, depth + 1, "R")
-
-    walk(game, 0, "")
+    stack = [(game, 0, "")]
+    while stack:
+        node, depth, tag = stack.pop()
+        lines.append("  " * depth + tag + format_score(node.score))
+        children = [(child, depth + 1, "L ") for child in node.left]
+        children += [(child, depth + 1, "R ") for child in node.right]
+        stack.extend(reversed(children))
     return "\n".join(lines)

@@ -73,6 +73,24 @@ def test_sum_with_eval(run):
     assert code == 0
 
 
+_DEEP_CHAIN = "{" * 3000 + "7" + "|0|0}" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["eval", "--game", _DEEP_CHAIN], "sl=0 sr=0 outcome=Tie impartial=false"),
+        (["tree", "--game", _DEEP_CHAIN], "  R 0"),
+        (["sum", "--game", _DEEP_CHAIN, "--game", "1", "--eval"], "sl=1 sr=1 outcome=L impartial=false"),
+    ],
+    ids=["eval", "tree", "sum"],
+)
+def test_deep_games_need_no_recursion(run, argv, last_line):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last_line
+
+
 def test_sum_needs_exactly_two_games(run):
     code, _, err = run("sum", "--game", "2")
     assert code == 2

@@ -33,6 +33,7 @@ from scoreplay.games import (
     outcome,
     parse_game,
     parse_score,
+    reflect,
     render_game,
     render_tree,
     translate,
@@ -293,6 +294,11 @@ def test_render_tree_two_level_layout():
     assert sum(line.strip().startswith("R ") for line in lines) == 4
 
 
+def test_render_tree_lists_each_node_after_its_parent_left_side_first():
+    game = parse_game("{{1,{|2|3}|0|},5|1|{-1|7|}}")
+    assert render_tree(game) == "1\n  L 0\n    L 1\n    L 2\n      R 3\n  L 5\n  R 7\n    L -1"
+
+
 # ---------------------------------------------------------------------------
 # Algebraic properties
 
@@ -356,6 +362,120 @@ def test_adding_a_number_shifts_final_scores(g, t):
 @given(games)
 def test_round_trip_through_notation(g):
     assert parse_game(render_game(g)) is g
+
+
+# ---------------------------------------------------------------------------
+# Reflection, checked against the first recursive definitions of the algebra
+
+
+def ref_negate(game: Game) -> Game:
+    memo: dict[int, Game] = {}
+
+    def go(node: Game) -> Game:
+        got = memo.get(id(node))
+        if got is None:
+            got = Game(-node.score, [go(child) for child in node.right], [go(child) for child in node.left])
+            memo[id(node)] = got
+        return got
+
+    return go(game)
+
+
+def ref_translate(game: Game, amount) -> Game:
+    amount = as_score(amount)
+    if amount == 0:
+        return game
+    memo: dict[int, Game] = {}
+
+    def go(node: Game) -> Game:
+        got = memo.get(id(node))
+        if got is None:
+            got = Game(node.score + amount, [go(child) for child in node.left], [go(child) for child in node.right])
+            memo[id(node)] = got
+        return got
+
+    return go(game)
+
+
+def ref_add(g: Game, h: Game) -> Game:
+    memo: dict[tuple[int, int], Game] = {}
+
+    def go(a: Game, b: Game) -> Game:
+        key = (id(a), id(b))
+        got = memo.get(key)
+        if got is None:
+            left = [go(al, b) for al in a.left]
+            left += [go(a, bl) for bl in b.left]
+            right = [go(ar, b) for ar in a.right]
+            right += [go(a, br) for br in b.right]
+            got = Game(a.score + b.score, left, right)
+            memo[key] = got
+        return got
+
+    return go(g, h)
+
+
+def ref_is_impartial(game: Game) -> bool:
+    if not game.left and not game.right:
+        return True
+    if not game.left or not game.right:
+        return False
+    shift = -game.score
+    lefts = {ref_translate(option, shift) for option in game.left}
+    mirrored_rights = {ref_negate(ref_translate(option, shift)) for option in game.right}
+    return lefts == mirrored_rights
+
+
+@settings(max_examples=80, deadline=None)
+@given(games, scores)
+def test_reflect_matches_negate_then_translate(g, c):
+    assert reflect(g, c) is ref_translate(ref_negate(g), c)
+    assert reflect(reflect(g, c), c) is g
+    assert negate(g) is reflect(g, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(games, scores)
+def test_translate_matches_the_reference(g, t):
+    assert translate(g, t) is ref_translate(g, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(games, games)
+def test_add_matches_the_reference(g, h):
+    assert add(g, h) is ref_add(g, h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(games, scores, st.lists(games, min_size=1, max_size=3), st.integers(min_value=0, max_value=2))
+def test_is_impartial_matches_the_reference(g, s, lefts, which):
+    assert is_impartial(g) == ref_is_impartial(g)
+    rights = [reflect(o, 2 * s) for o in lefts]
+    impartial = Game(s, lefts, rights)
+    assert is_impartial(impartial) and ref_is_impartial(impartial)
+    which %= len(rights)
+    rights[which] = translate(rights[which], 1)
+    perturbed = Game(s, lefts, rights)
+    assert is_impartial(perturbed) == ref_is_impartial(perturbed)
+
+
+def test_deep_chain_algebra_and_notation_need_no_recursion():
+    depth = 5000
+    game = number(7)
+    for _ in range(depth):
+        game = Game(0, [game], [number(0)])
+    assert negate(game) is reflect(game, 0)
+    assert reflect(reflect(game, 3), 3) is game
+    assert translate(translate(game, 2), -2) is game
+    assert add(game, number(1)) is translate(game, 1)
+    assert not is_impartial(game)
+    assert is_impartial(Game(1, [game], [reflect(game, 2)]))
+    lines = render_tree(game).splitlines()
+    assert len(lines) == 2 * depth + 1
+    assert lines[depth : depth + 2] == ["  " * depth + "L 7", "  " * depth + "R 0"]
+    assert lines[-1] == "  R 0"
+    del lines
+    assert parse_game(render_game(game)) is game
 
 
 # ---------------------------------------------------------------------------
