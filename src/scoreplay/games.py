@@ -197,7 +197,7 @@ def reflect(game: Game, about) -> Game:
     """
     about = as_score(about)
     done: dict[Game, Game] = {}
-    for node in _post_order(game, done):
+    for node in _post_order(game, done, _options):
         done[node] = Game(
             about - node.score,
             [done[child] for child in node.right],
@@ -217,7 +217,7 @@ def translate(game: Game, amount) -> Game:
     if amount == 0:
         return game
     done: dict[Game, Game] = {}
-    for node in _post_order(game, done):
+    for node in _post_order(game, done, _options):
         done[node] = Game(
             node.score + amount,
             [done[child] for child in node.left],
@@ -235,11 +235,11 @@ def add(g: Game, h: Game) -> Game:
     and each is built once, after the pairs its options lead to.
     """
     h_nodes: dict[Game, None] = {}
-    for b in _post_order(h, h_nodes):
+    for b in _post_order(h, h_nodes, _options):
         h_nodes[b] = None
     done: dict[tuple[Game, Game], Game] = {}
     g_nodes: dict[Game, None] = {}
-    for a in _post_order(g, g_nodes):
+    for a in _post_order(g, g_nodes, _options):
         g_nodes[a] = None
         for b in h_nodes:
             left = [done[al, b] for al in a.left] + [done[a, bl] for bl in b.left]
@@ -261,32 +261,35 @@ def final_scores(game: Game, cache: dict[Game, FinalScores] | None = None) -> Fi
     """
     if cache is None:
         cache = {}
-    for node in _post_order(game, cache):
+    for node in _post_order(game, cache, _options):
         sl = max(cache[child].sr for child in node.left) if node.left else node.score
         sr = min(cache[child].sl for child in node.right) if node.right else node.score
         cache[node] = FinalScores(sl, sr)
     return cache[game]
 
 
-def _post_order(root: Game, done) -> Iterator[Game]:
-    """Yield each node under ``root`` that is not in ``done``, options first.
+def _post_order(root, done, children) -> Iterator:
+    """Yield each node under ``root`` that is not in ``done``, children first.
 
-    The caller adds every yielded node to ``done`` before asking for the
-    next, so each node comes once.  An explicit stack replaces recursion.
+    ``children(node)`` is called once per yielded node, when the walk first
+    reaches it.  The caller adds every yielded node to ``done`` before asking
+    for the next, so each node comes once.  The graph must be acyclic.
     """
-    stack = [root]
+    stack = [root]  # explicit: deep games and long heap chains outrun recursion
     while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        missing = [child for child in node.left if child not in done]
-        missing += [child for child in node.right if child not in done]
-        if missing:
-            stack.extend(missing)
-            continue
-        yield node
-        stack.pop()
+        node = stack.pop()
+        if node is _BUILD:
+            yield stack.pop()
+        elif node not in done:
+            stack += (node, _BUILD)
+            stack += children(node)
+
+
+_BUILD = object()  # stack mark: the entry below it has its children above it
+
+
+def _options(node: Game) -> tuple[Game, ...]:
+    return node.left + node.right
 
 
 class Outcome(Enum):
@@ -447,22 +450,37 @@ class _Parser:
             raise NotationError("unexpected trailing input", self.pos)
 
 
+MAX_RENDER_CHARS = 2**24
+
+
+class RenderSizeError(ValueError):
+    """A game's notation would be longer than :data:`MAX_RENDER_CHARS`."""
+
+
 def render_game(game: Game) -> str:
     """Canonical notation; ``parse_game(render_game(g)) is g``.
 
     Renders each distinct node once, options before the node, without
     recursion.  A node's text is dropped once every node that uses it has
     been rendered, so a deep chain holds two texts at a time, not all.
+    Raises :class:`RenderSizeError`, before building any text, when the
+    result would be longer than :data:`MAX_RENDER_CHARS` characters.
     """
     users: dict[Game, int] = {}  # distinct parents not yet rendered
-    order: list[Game] = []
-    for node in _post_order(game, users):
+    length: dict[Game, int] = {}  # characters in each node's text, in post-order
+    for node in _post_order(game, length, _options):
         users[node] = 0
+        size = len(format_score(node.score)) + sum([length[child] for child in _options(node)])
+        if not node.is_number:
+            # two braces, two bars and the commas between options
+            size += 4 + max(len(node.left) - 1, 0) + max(len(node.right) - 1, 0)
+        length[node] = size
         for child in {*node.left, *node.right}:
             users[child] += 1
-        order.append(node)
+    if length[game] > MAX_RENDER_CHARS:
+        raise RenderSizeError(f"game notation would exceed {MAX_RENDER_CHARS} characters")
     text: dict[Game, str] = {}
-    for node in order:
+    for node in length:
         score = format_score(node.score)
         if node.is_number:
             text[node] = score

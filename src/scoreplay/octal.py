@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Mapping
 
-from scoreplay.games import Game, Score, as_score, format_score, parse_score
+from scoreplay.games import Game, Score, _post_order, as_score, format_score, parse_score
 
 _ZERO = Fraction(0)
 
@@ -396,40 +396,23 @@ class GrundySolver:
 
     def _scaled_value(self, position: Position) -> int:
         values = self._values
-        got = values.get(position)
-        if got is not None:
-            return got
         budget = self.budget
         tabled = sum(map(len, self._tables.values()))  # the tables do not change in here
         # each list lives only until its position is valued: keeping them
         # all would hold every move of every position reached
         pending_moves: dict[Position, list[tuple[int, Position]]] = {}
-        stack = [position]
-        # explicit stack: sweep chains can outrun the recursion limit
-        while stack:
-            pos = stack[-1]
-            if pos in values:
-                stack.pop()
-                continue
-            moves = pending_moves.get(pos)
-            if moves is None:
-                moves = self._scaled_moves(pos)
-                pending_moves[pos] = moves
-                if budget is not None and tabled + len(values) + len(pending_moves) > budget:
-                    raise BudgetExceededError(
-                        f"position budget exceeded ({budget} positions) "
-                        f"evaluating {render_position(position)}"
-                    )
-            missing = [nxt for _, nxt in moves if nxt not in values]
-            if missing:
-                stack.extend(missing)
-                continue
-            if moves:
-                values[pos] = max(award - values[nxt] for award, nxt in moves)
-            else:
-                values[pos] = 0
-            del pending_moves[pos]
-            stack.pop()
+
+        def next_positions(pos: Position) -> list[Position]:
+            moves = pending_moves[pos] = self._scaled_moves(pos)
+            if budget is not None and tabled + len(values) + len(pending_moves) > budget:
+                raise BudgetExceededError(
+                    f"position budget exceeded ({budget} positions) "
+                    f"evaluating {render_position(position)}"
+                )
+            return [nxt for _, nxt in moves]
+
+        for pos in _post_order(position, values, next_positions):
+            values[pos] = max((award - values[nxt] for award, nxt in pending_moves.pop(pos)), default=0)
         return values[position]
 
     def best_moves(self, position: Position) -> list[MoveOutcome]:
@@ -506,30 +489,22 @@ class GrundySolver:
         games = self._games
         moves_of = self._moves
         as_fraction = self._as_fraction
-        # Explicit stack, as in value: a chain of one-bean moves is as deep
-        # as the heap.  An entry carries its moves once its options are
-        # pushed above it.  The entries carrying moves below it are its
-        # ancestors, and every move removes beans, so none of them is an
-        # option: all its options are built when the entry is popped again.
-        stack: list[tuple[Position, int, list | None]] = [(position, 0, None)]
-        while stack:
-            pos, offset, moves = stack.pop()
-            if moves is not None:
-                games[pos, offset] = Game(
-                    as_fraction[offset],
-                    [games[nxt, offset + award] for award, nxt in moves],
-                    [games[nxt, offset - award] for award, nxt in moves],
-                )
-                continue
-            if (pos, offset) in games:
-                continue
+
+        def options(key: tuple[Position, int]) -> list[tuple[Position, int]]:
+            pos, offset = key
             moves = moves_of.get(pos)
             if moves is None:
                 moves = moves_of[pos] = self._scaled_moves(pos)
-            stack.append((pos, offset, moves))
-            for award, nxt in moves:
-                stack.append((nxt, offset + award, None))
-                stack.append((nxt, offset - award, None))
+            return [(nxt, offset + sign * award) for award, nxt in moves for sign in (1, -1)]
+
+        for key in _post_order((position, 0), games, options):
+            pos, offset = key
+            moves = moves_of[pos]
+            games[key] = Game(
+                as_fraction[offset],
+                [games[nxt, offset + award] for award, nxt in moves],
+                [games[nxt, offset - award] for award, nxt in moves],
+            )
         return games[position, 0]
 
     def _resolve_var(self, var: str | None) -> str:

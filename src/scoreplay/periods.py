@@ -57,8 +57,9 @@ def _period_candidates(values: Sequence[Score], min_window: int):
 
     For each period the preperiod is minimal; a candidate qualifies when
     the tail from the preperiod holds at least ``min_window`` complete
-    copies of the period block.  Every candidate is re-verified before
-    being yielded.
+    copies of the period block.  The preperiod scan runs down from the end
+    and stops at the first mismatch, so it has compared every pair that
+    :func:`verify_period` would.
     """
     if min_window < 1:
         raise ValueError("min_window must be at least 1")
@@ -75,8 +76,6 @@ def _period_candidates(values: Sequence[Score], min_window: int):
                 break
         if count - preperiod < min_window * period:
             continue
-        if not verify_period(values, preperiod, period):
-            raise RuntimeError("period self-check failed")  # pragma: no cover
         if digest is None:
             digest = sequence_digest(values)
         yield PeriodReport(preperiod, period, last, False, digest)
@@ -199,7 +198,7 @@ class LemmaReport:
         return not self.identity_failures and not self.bound_failures
 
 
-def check_lemma(amounts: Iterable[int], i_max: int, budget: int | None = None) -> LemmaReport:
+def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
     """Check the alternation identity and its residue bounds up to ``i_max``."""
     s_set = sorted(set(int(a) for a in amounts))
     if not s_set or s_set[0] < 1:
@@ -207,7 +206,7 @@ def check_lemma(amounts: Iterable[int], i_max: int, budget: int | None = None) -
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
     k = s_set[-1]
-    solver = GrundySolver(subtraction_rules(s_set), budget=budget)
+    solver = GrundySolver(subtraction_rules(s_set))
     seq = solver.sweep(2 * (i_max + 1) * k)
 
     identity = []
@@ -463,21 +462,25 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
         status, report, digest = "budget-exceeded", None, ""
     else:
         report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
-        if report is None:
-            status, digest = "not-found", sequence_digest(values)
-    if report is None:
-        return ScanRow(
-            instance.name, status, None, None, False, None,
-            two_k, None, in_hypothesis, False, instance.max_n, digest, rules.digest,
-        )
-    certified = report.certified
-    cert_from = certified_start(rules, report) if certified else None
-    divides = None if two_k is None else (two_k % report.period == 0)
-    counterexample = bool(certified and in_hypothesis and divides is False)
+        status = "not-found" if report is None else "ok"
+        digest = sequence_digest(values) if report is None else report.sequence_digest
+    certified = report is not None and report.certified
+    period = None if report is None else report.period
+    divides = None if two_k is None or period is None else two_k % period == 0
     return ScanRow(
-        instance.name, "ok", report.preperiod, report.period, certified, cert_from,
-        two_k, divides, in_hypothesis, counterexample, instance.max_n, report.sequence_digest,
-        rules.digest,
+        instance=instance.name,
+        status=status,
+        preperiod=None if report is None else report.preperiod,
+        period=period,
+        certified=certified,
+        certified_from=certified_start(rules, report) if certified else None,
+        conjectured_2k=two_k,
+        divides_2k=divides,
+        in_hypothesis=in_hypothesis,
+        counterexample=certified and in_hypothesis and divides is False,
+        max_n=instance.max_n,
+        values_digest=digest,
+        rules_digest=rules.digest,
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from scoreplay.cli import main
+from scoreplay.games import MAX_RENDER_CHARS
 
 
 @pytest.fixture
@@ -89,6 +90,14 @@ def test_deep_games_need_no_recursion(run, argv, last_line):
     code, out, err = run(*argv)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == last_line
+
+
+def test_deep_plus_wide_sum_fails_with_a_typed_error(run):
+    """The sum has a few nodes per level, but its notation writes each
+    shared subtree out in full and would run to gigabytes."""
+    code, out, err = run("sum", "--game", _DEEP_CHAIN, "--game", "{{0|0|0}|0|{0|0|0}}", "--eval")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: game notation would exceed {MAX_RENDER_CHARS} characters"]
 
 
 def test_sum_needs_exactly_two_games(run):

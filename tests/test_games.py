@@ -13,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest.mock import patch
+
+from scoreplay import games as games_module
 from scoreplay.cli import main
 from scoreplay.games import (
     _INTERNED,
@@ -20,6 +23,8 @@ from scoreplay.games import (
     Game,
     NotationError,
     Outcome,
+    RenderSizeError,
+    _post_order,
     add,
     as_score,
     final_scores,
@@ -364,6 +369,17 @@ def test_round_trip_through_notation(g):
     assert parse_game(render_game(g)) is g
 
 
+@settings(max_examples=60, deadline=None)
+@given(games)
+def test_render_length_is_counted_before_any_text_is_built(g):
+    text = render_game(g)
+    with patch.object(games_module, "MAX_RENDER_CHARS", len(text)):
+        assert render_game(g) == text
+    with patch.object(games_module, "MAX_RENDER_CHARS", len(text) - 1):
+        with pytest.raises(RenderSizeError, match=f"exceed {len(text) - 1} characters"):
+            render_game(g)
+
+
 # ---------------------------------------------------------------------------
 # Reflection, checked against the first recursive definitions of the algebra
 
@@ -476,6 +492,51 @@ def test_deep_chain_algebra_and_notation_need_no_recursion():
     assert lines[-1] == "  R 0"
     del lines
     assert parse_game(render_game(game)) is game
+
+
+# ---------------------------------------------------------------------------
+# The post-order walk shared by the game algebra and the heap solver
+
+# "d" is reached from "b" and "c" at depth 2 and from "e" at depth 3
+_DAG = {"a": ["b", "c"], "b": ["d"], "c": ["e", "d"], "e": ["d", "f"], "d": [], "f": []}
+
+
+def _walk(root, done, graph):
+    """(yielded nodes, nodes ``children`` was called on) for one walk."""
+    calls = []
+
+    def children(node):
+        calls.append(node)
+        return graph[node]
+
+    order = []
+    for node in _post_order(root, done, children):
+        assert all(child in done for child in graph[node])
+        done[node] = None
+        order.append(node)
+    return order, calls
+
+
+def test_post_order_yields_each_node_once_after_its_children():
+    order, calls = _walk("a", {}, _DAG)
+    assert sorted(order) == sorted(_DAG)
+    assert order[-1] == "a"
+    assert sorted(calls) == sorted(_DAG)
+
+
+def test_post_order_neither_yields_nor_expands_nodes_already_done():
+    order, calls = _walk("a", {"c": None}, _DAG)
+    assert sorted(order) == sorted(calls) == ["a", "b", "d"]
+    assert _walk("a", dict.fromkeys(_DAG), _DAG) == ([], [])
+
+
+def test_post_order_walks_a_long_chain_without_recursion():
+    length = 10_000  # ten times the default recursion limit
+    chain = {n: [n + 1] for n in range(length)}
+    chain[length] = []
+    order, calls = _walk(0, {}, chain)
+    assert order == list(range(length, -1, -1))
+    assert calls == list(range(length + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,7 @@ def test_scaled_solver_matches_fraction_reference(a, b, heaps):
     value = reference.value(position)
     got = solver.value(position)
     assert got == value
+    assert list(solver._values) == list(reference.values)  # the same walk order
     assert type(got) is Fraction
     if legal_moves(position, rules):
         assert solver.best_moves(position) == reference.best_moves(position)
@@ -534,9 +535,10 @@ def test_budget_errors_match_fraction_reference(a, b, heaps, budget):
     rules = {"a": a, "b": b}
     position = Position(tuple(heaps))
     ask = lambda solver: solver.value(position)  # noqa: E731
-    assert budget_outcome(ask, GrundySolver(rules, budget=budget)) == budget_outcome(
-        ask, FractionReference(rules, budget=budget)
-    )
+    solver = GrundySolver(rules, budget=budget)
+    reference = FractionReference(rules, budget=budget)
+    assert budget_outcome(ask, solver) == budget_outcome(ask, reference)
+    assert list(solver._values) == list(reference.values)  # where a budget trips depends on it
 
 
 def test_to_game_generates_each_positions_moves_once(monkeypatch):

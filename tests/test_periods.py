@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scoreplay import periods
 from scoreplay.octal import GrundySolver, Position, rules_from_name, subtraction_rules
@@ -78,6 +80,42 @@ def test_detect_trailing_constant_run_is_reported_empirically():
     """A constant tail of min_window values legitimately detects period 1."""
     report = detect_period(frac([1, 2, 3, 0, 0, 0]))
     assert (report.preperiod, report.period) == (3, 1)
+
+
+# ints and Fractions compare equal across types, so both may stand for one value
+_entries = st.sampled_from([0, 1, -1, Fraction(1), Fraction(1, 2)])
+_sequences = st.one_of(
+    st.lists(_entries, min_size=1, max_size=12),
+    st.builds(
+        lambda head, block, copies: head + block * copies,
+        st.lists(_entries, max_size=5),
+        st.lists(_entries, min_size=1, max_size=4),
+        st.integers(1, 6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequences, st.integers(1, 4))
+def test_detection_matches_a_brute_force_search(values, min_window):
+    """The reported period verifies, its preperiod is minimal, and no
+    smaller period has ``min_window`` copies after its own minimal preperiod."""
+    assume(len(values) >= min_window)
+
+    def minimal_preperiod(period):
+        return next(start for start in range(len(values) + 1) if verify_period(values, start, period))
+
+    qualifying = [
+        (minimal_preperiod(period), period)
+        for period in range(1, len(values) + 1)
+        if len(values) - minimal_preperiod(period) >= min_window * period
+    ]
+    report = detect_period(values, min_window)
+    if not qualifying:
+        assert report is None
+        return
+    assert (report.preperiod, report.period) == qualifying[0]
+    assert verify_period(values, report.preperiod, report.period)
 
 
 def test_detect_returns_none_when_nothing_qualifies():
