@@ -187,6 +187,43 @@ def test_period_reports_none(run):
     assert out.startswith("period=none")
 
 
+SCALED = "name: h; digits: 3 3 0 3; points: 1/2 3/2 0 -5/3"
+SCALED_NEGATIVE = "name: neg; digits: 3 0 2; points: -2/3 0 5/4"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["period", "--rules", SCALED, "--max-n", "300"],
+            "preperiod=0 period=4 certified=true certified_from=5 checked_up_to=300 "
+            "values_digest=4c39359bf37a80f7\n",
+        ),
+        (
+            ["period", "--rules", SCALED_NEGATIVE, "--max-n", "300"],
+            "preperiod=1 period=6 certified=true certified_from=4 checked_up_to=300 "
+            "values_digest=3d744dc6e51f3a77\n",
+        ),
+        (
+            ["period", "--rules", SCALED_NEGATIVE, "--max-n", "8"],
+            "period=none checked_up_to=8 values_digest=2b5596bd78b737e4\n",
+        ),
+        (
+            ["table", "--rules", SCALED, "--max-n", "12", "--fixed", "2@h", "--format", "structured"],
+            "format: table\nrules: h\nrules-digest: 7b409bcae88d\nfixed: 2@h\nmax-n: 12\n"
+            "values-digest: 244de332e0f57c75\n\n"
+            "n,value\n0,3/2\n1,1\n2,0\n3,1/2\n4,3/2\n5,1\n6,0\n7,1/2\n8,3/2\n9,1\n10,0\n"
+            "11,1/2\n12,3/2\n",
+        ),
+    ],
+    ids=["period-certified", "period-negative", "period-none", "table-structured"],
+)
+def test_scaled_sweep_output_bytes_are_pinned(run, argv, expected):
+    """Awards with denominators 2, 3 and 4, some negative: the solver's
+    scale is above 1, so its ints differ from the values they stand for."""
+    assert run(*argv) == (0, expected, "")
+
+
 def test_lemma_pass(run):
     code, out, _ = run("lemma", "--set", "4,5", "--imax", "5")
     assert code == 0

@@ -536,3 +536,39 @@ def test_scan_report_bytes_are_pinned():
     report = run_scan(parse_scan_spec(PINNED_SPEC))
     assert report.to_csv() == PINNED_CSV
     assert report.to_detail() == PINNED_DETAIL
+
+
+SCALED_SPEC = """\
+seed: 8
+max-n: 300
+instance: name:h;digits:3,3,0,3;points:1/2,3/2,0,-5/3
+instance: name:hshort;digits:3,3,0,3;points:1/2,3/2,0,-5/3 max-n=6
+instance: name:hbudget;digits:3,3,0,3;points:1/2,3/2,0,-5/3 budget=7
+instance: name:hfixed;digits:3,3,0,3;points:1/2,3/2,0,-5/3 fixed=3@hfixed max-n=40
+instance: name:neg;digits:3,0,2;points:-2/3,0,5/4
+"""
+
+SCALED_CSV = """\
+instance,status,preperiod,period,certified,certified_from,conjectured_2k,divides_2k,in_hypothesis,counterexample,max_n,values_digest,rules_digest
+h,ok,0,4,true,5,8,true,false,false,300,4c39359bf37a80f7,7b409bcae88d
+hbudget,budget-exceeded,,,false,,8,,false,false,300,,1d672d9e5fe1
+hfixed,ok,0,4,false,,8,true,false,false,40,4e37779d7dd42b95,f439b5014e15
+hshort,not-found,,,false,,8,,false,false,6,72c5b190069738ef,2b3061501df2
+neg,ok,1,6,true,4,6,true,false,false,300,3d744dc6e51f3a77,b0d32b773b17
+"""
+
+
+def test_scan_bytes_with_scale_above_one_are_pinned():
+    """Fractional and negative awards (solver scales 6 and 12) in every row
+    kind; ``neg`` has negative values and a nonzero preperiod."""
+    report = run_scan(parse_scan_spec(SCALED_SPEC))
+    assert report.to_csv() == SCALED_CSV
+    assert report.spec_digest == "6e0006cd7c87ae1f"
+    detail_rows = report.to_detail().split("\n\n")[1:]
+    assert [block.splitlines()[-2] for block in detail_rows] == [
+        "values-digest: 4c39359bf37a80f7",
+        "values-digest: ",
+        "values-digest: 4e37779d7dd42b95",
+        "values-digest: 72c5b190069738ef",
+        "values-digest: 3d744dc6e51f3a77",
+    ]
