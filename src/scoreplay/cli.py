@@ -41,6 +41,7 @@ from scoreplay.periods import (
     check_lemma,
     detect_certified_period,
     parse_scan_spec,
+    render_scaled,
     run_scan,
     sequence_digest,
 )
@@ -193,37 +194,39 @@ def _cmd_gs(args) -> int:
     return 0
 
 
-def _sweep_values(args) -> tuple[OctalRules, Position, list]:
-    """The varying heap's ruleset, the base and the swept values."""
+def _sweep_values(args) -> tuple[OctalRules, Position, list[int], int]:
+    """The varying heap's ruleset, the base, the swept values times the
+    solver's scale, and that scale."""
     rules = _load_rules(args.rules)
     base = parse_position(args.fixed, known=rules)
     solver = GrundySolver(rules, budget=args.budget)
-    values = solver.sweep(args.max_n, var=args.var, base=base)
-    return solver.rules[solver._resolve_var(args.var)], base, values
+    values = solver._scaled_sweep(args.max_n, args.var, base)
+    return solver.rules[solver._resolve_var(args.var)], base, values, solver.scale
 
 
 def _cmd_table(args) -> int:
-    varying, base, values = _sweep_values(args)
-    body = "n,value\n" + "\n".join(f"{n},{format_score(v)}" for n, v in enumerate(values))
+    varying, base, values, scale = _sweep_values(args)
+    rendered = render_scaled(values, scale)
+    body = "n,value\n" + "\n".join(f"{n},{text}" for n, text in enumerate(rendered))
     if args.format == "structured":
         print("format: table")
         print(f"rules: {varying.name}")
         print(f"rules-digest: {varying.digest}")
         print(f"fixed: {render_position(base)}")
         print(f"max-n: {args.max_n}")
-        print(f"values-digest: {sequence_digest(values)}")
+        print(f"values-digest: {sequence_digest(values, scale)}")
         print()
     print(body)
     return 0
 
 
 def _cmd_period(args) -> int:
-    varying, base, values = _sweep_values(args)
+    varying, base, values, scale = _sweep_values(args)
     if base.heaps:
         print("note: fixed base position, certification skipped", file=sys.stderr)
-    report = detect_certified_period(varying, values, args.min_window, base)
+    report = detect_certified_period(varying, values, args.min_window, base, scale)
     if report is None:
-        print(f"period=none checked_up_to={args.max_n} values_digest={sequence_digest(values)}")
+        print(f"period=none checked_up_to={args.max_n} values_digest={sequence_digest(values, scale)}")
         return 0
     cert_from = ""
     if report.certified:

@@ -149,7 +149,14 @@ class Game:
         return add(self, negate(other))
 
     def __repr__(self):
-        return f"Game({render_game(self)!r})"
+        try:
+            return f"Game({render_game(self)!r})"
+        except RenderSizeError:
+            # a bounded summary, so logging and debuggers can still show the game
+            return (
+                f"<Game score={format_score(self.score)} left={len(self.left)} "
+                f"right={len(self.right)}: notation over {MAX_RENDER_CHARS} characters>"
+            )
 
 
 # (numerator, denominator, left, right) -> the live node.  The lock makes
@@ -451,10 +458,13 @@ class _Parser:
 
 
 MAX_RENDER_CHARS = 2**24
+# An indented tree writes each line's depth out as spaces, so a chain d deep
+# takes about 2 * d**2 characters: 50,050,001 at d = 5,000.
+MAX_TREE_CHARS = 2**26
 
 
 class RenderSizeError(ValueError):
-    """A game's notation would be longer than :data:`MAX_RENDER_CHARS`."""
+    """A game's notation or tree would be longer than its character bound."""
 
 
 def render_game(game: Game) -> str:
@@ -496,7 +506,26 @@ def render_game(game: Game) -> str:
 
 
 def render_tree(game: Game) -> str:
-    """Indented tree, one line per node, options tagged L or R."""
+    """Indented tree, one line per node, options tagged L or R.
+
+    A subtree is written out once per path to it, indented by its depth on
+    that path.  Raises :class:`RenderSizeError`, before building any text,
+    when the result would be longer than :data:`MAX_TREE_CHARS` characters.
+    """
+    # per distinct node: the lines of its subtree and their characters,
+    # with the node itself at depth 0 and untagged
+    size: dict[Game, tuple[int, int]] = {}
+    for node in _post_order(game, size, _options):
+        count, chars = 1, len(format_score(node.score))
+        for child in _options(node):
+            child_count, child_chars = size[child]
+            count += child_count
+            # the child's tag, and one more indent level on each of its lines
+            chars += child_chars + 2 + 2 * child_count
+        size[node] = (count, chars)
+    count, chars = size[game]
+    if chars + count - 1 > MAX_TREE_CHARS:  # the lines and the breaks between them
+        raise RenderSizeError(f"game tree would exceed {MAX_TREE_CHARS} characters")
     lines: list[str] = []
     stack = [(game, 0, "")]
     while stack:

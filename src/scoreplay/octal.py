@@ -15,6 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping
 
 from scoreplay.games import Game, Score, _post_order, as_score, format_score, parse_score
@@ -438,14 +439,18 @@ class GrundySolver:
         budget.  Every other sweep evaluates each entry with :meth:`value`.
         The values are the same either way.
         """
+        as_fraction = self._as_fraction
+        return [as_fraction[x] for x in self._scaled_sweep(max_n, var, base)]
+
+    def _scaled_sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[int]:
+        """:meth:`sweep`'s values, each times ``scale``."""
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         var = self._resolve_var(var)
         rules = self.rules[var]
         if base.heaps or rules.splits_heaps:
-            return [self.value(base.add_heap(var, n)) for n in range(max_n + 1)]
-        as_fraction = self._as_fraction
-        return [as_fraction[x] for x in self._single_heap_table(rules, max_n)[: max_n + 1]]
+            return [self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1)]
+        return self._single_heap_table(rules, max_n)[: max_n + 1]
 
     def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
         """Scaled values of single heaps 0..max_n or more, extending the table."""
@@ -463,8 +468,14 @@ class GrundySolver:
                 options.append(awards[n - 1])  # take the whole heap; nothing is left
             table.append(max(options, default=0))
         # past len(digits) beans every move leaves a heap, and table[-take] is v[n - take]
-        for _ in range(len(table), stop):
-            table.append(max([award - table[-take] for take, award in keeps], default=0))
+        if keeps:
+            kept_awards = [award for _, award in keeps]
+            back = [-take for take, _ in keeps]
+            entry = table.__getitem__
+            for _ in range(len(table), stop):
+                table.append(max(map(sub, kept_awards, map(entry, back))))
+        else:  # no move leaves a heap, so these heaps have no move at all
+            table.extend([0] * (stop - len(table)))
         if len(table) <= max_n:
             raise BudgetExceededError(
                 f"position budget exceeded ({self.budget} positions) "

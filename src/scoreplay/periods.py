@@ -29,10 +29,24 @@ from scoreplay.octal import (
 )
 
 
-def sequence_digest(values: Sequence[Score]) -> str:
-    """Stable checksum of a value sequence under exact rational rendering."""
-    payload = ",".join(format_score(v) for v in values)
+def sequence_digest(values: Sequence[Score | int], scale: int = 1) -> str:
+    """Stable checksum of a value sequence under exact rational rendering.
+
+    Entry ``x`` stands for the value ``x / scale``: a solver's scaled ints
+    with its ``scale``, or exact values with the default 1.
+    """
+    payload = ",".join(render_scaled(values, scale))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def render_scaled(values: Sequence[Score | int], scale: int = 1) -> list[str]:
+    """``format_score`` of each ``x / scale``, rendering each distinct ``x`` once.
+
+    A sweep holds few distinct values, and ints hash far faster than
+    Fractions, so the scaled ints make the cheapest keys.
+    """
+    text = {x: format_score(Fraction(x, scale)) for x in set(values)}
+    return list(map(text.__getitem__, values))
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,15 @@ def verify_period(values: Sequence[Score], preperiod: int, period: int) -> bool:
     )
 
 
-def _period_candidates(values: Sequence[Score], min_window: int):
+def _period_candidates(values: Sequence[Score | int], min_window: int, scale: int):
     """Qualifying (preperiod, period) reports in ascending period order.
 
     For each period the preperiod is minimal; a candidate qualifies when
     the tail from the preperiod holds at least ``min_window`` complete
     copies of the period block.  The preperiod scan runs down from the end
     and stops at the first mismatch, so it has compared every pair that
-    :func:`verify_period` would.
+    :func:`verify_period` would.  Values are only compared with ``==``;
+    ``scale`` is passed on to :func:`sequence_digest`.
     """
     if min_window < 1:
         raise ValueError("min_window must be at least 1")
@@ -77,19 +92,23 @@ def _period_candidates(values: Sequence[Score], min_window: int):
         if count - preperiod < min_window * period:
             continue
         if digest is None:
-            digest = sequence_digest(values)
+            digest = sequence_digest(values, scale)
         yield PeriodReport(preperiod, period, last, False, digest)
 
 
-def detect_period(values: Sequence[Score], min_window: int = 3) -> PeriodReport | None:
+def detect_period(
+    values: Sequence[Score | int], min_window: int = 3, scale: int = 1
+) -> PeriodReport | None:
     """Smallest period, then smallest preperiod, visible in ``values``.
 
     Purely empirical: a short run at the very end of the sequence can
     qualify (three trailing equal values admit period 1), so callers after
     an eventual period should prefer :func:`detect_certified_period`.
-    Returns None when nothing qualifies.
+    Returns None when nothing qualifies.  ``values`` may be exact scores,
+    or a solver's scaled ints with its ``scale`` (see :func:`sequence_digest`);
+    the report is the same.
     """
-    return next(_period_candidates(values, min_window), None)
+    return next(_period_candidates(values, min_window, scale), None)
 
 
 def certified_start(rules: OctalRules, report: PeriodReport) -> int:
@@ -97,7 +116,7 @@ def certified_start(rules: OctalRules, report: PeriodReport) -> int:
     return max(report.preperiod, len(rules.digits) + 1)
 
 
-def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Score]) -> bool:
+def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Score | int]) -> bool:
     """Prove a detected period of a single-heap sweep continues forever.
 
     Let f be the digit count, p the period and s = :func:`certified_start`,
@@ -144,7 +163,11 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
 
 
 def detect_certified_period(
-    rules: OctalRules, values: Sequence[Score], min_window: int = 3, base: Position = Position()
+    rules: OctalRules,
+    values: Sequence[Score | int],
+    min_window: int = 3,
+    base: Position = Position(),
+    scale: int = 1,
 ) -> PeriodReport | None:
     """Detection that prefers a provable period over a shorter empirical one.
 
@@ -156,12 +179,13 @@ def detect_certified_period(
     certifies — too short a sweep — the plain :func:`detect_period` answer
     is returned unmarked, or None if there is no candidate at all.  A sweep
     over a nonempty ``base`` or under splitting rules gets that answer
-    directly: the proof needs an empty base and no splits.
+    directly: the proof needs an empty base and no splits.  ``values`` and
+    ``scale`` are as for :func:`detect_period`.
     """
     if base.heaps or rules.splits_heaps:
-        return detect_period(values, min_window)
+        return detect_period(values, min_window, scale)
     first: PeriodReport | None = None
-    for candidate in _period_candidates(values, min_window):
+    for candidate in _period_candidates(values, min_window, scale):
         if first is None:
             first = candidate
         try:
@@ -456,14 +480,16 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     k = _largest_remainder_take(rules)
     two_k = None if k is None else 2 * k
     in_hypothesis = _in_hypothesis(instance)
+    scale = solver.scale
     try:
-        values = solver.sweep(instance.max_n, var=rules.name, base=instance.fixed)
+        # detection compares values with == only, so the scaled ints serve
+        values = solver._scaled_sweep(instance.max_n, rules.name, instance.fixed)
     except BudgetExceededError:
         status, report, digest = "budget-exceeded", None, ""
     else:
-        report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
+        report = detect_certified_period(rules, values, instance.min_window, instance.fixed, scale)
         status = "not-found" if report is None else "ok"
-        digest = sequence_digest(values) if report is None else report.sequence_digest
+        digest = sequence_digest(values, scale) if report is None else report.sequence_digest
     certified = report is not None and report.certified
     period = None if report is None else report.period
     divides = None if two_k is None or period is None else two_k % period == 0

@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from scoreplay.games import Game, number
+from scoreplay.octal import OctalRules
 
 
 def naive_final_scores(game: Game, memo: dict | None = None) -> tuple[Fraction, Fraction]:
@@ -66,3 +67,17 @@ def _shallow_games(children):
 
 
 games = st.recursive(scores.map(number), _shallow_games, max_leaves=12)
+
+
+# Fractional and negative point awards, some of them common edge values.
+awards = st.one_of(
+    st.sampled_from([Fraction(-7, 2), Fraction(1, 3), Fraction(0)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+# Rulesets named "h" whose digits never split a heap: emptying-only and
+# surviving moves, with the awards above.
+non_splitting_rules = st.lists(
+    st.tuples(st.integers(0, 3), awards), min_size=1, max_size=6
+).filter(lambda moves: any(d for d, _ in moves)).map(
+    lambda moves: OctalRules("h", [d for d, _ in moves], [p for _, p in moves])
+)

@@ -92,6 +92,24 @@ def test_deep_games_need_no_recursion(run, argv, last_line):
     assert out.splitlines()[-1] == last_line
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gs", "--rules", "sub1", "--position", "3000@sub1"],
+        ["table", "--rules", "sub1", "--max-n", "4", "--fixed", "3000@sub1"],
+        ["period", "--rules", "sub1", "--max-n", "8", "--fixed", "3000@sub1"],
+    ],
+    ids=["gs", "table", "period"],
+)
+def test_deep_positions_exit_cleanly(run, argv):
+    """A 3,000-move heap game either works or fails with a typed error; an
+    uncaught exception, such as a RecursionError, fails the call itself."""
+    code, out, err = run(*argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+
+
 def test_deep_plus_wide_sum_fails_with_a_typed_error(run):
     """The sum has a few nodes per level, but its notation writes each
     shared subtree out in full and would run to gigabytes."""

@@ -6,6 +6,7 @@ import hashlib
 import pickle
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -302,6 +303,47 @@ def test_render_tree_two_level_layout():
 def test_render_tree_lists_each_node_after_its_parent_left_side_first():
     game = parse_game("{{1,{|2|3}|0|},5|1|{-1|7|}}")
     assert render_tree(game) == "1\n  L 0\n    L 1\n    L 2\n      R 3\n  L 5\n  R 7\n    L -1"
+
+
+def chain(depth: int, leaf=0) -> Game:
+    """``number(leaf)`` wrapped ``depth`` times as a Left option."""
+    game = number(leaf)
+    for _ in range(depth):
+        game = Game(0, [game])
+    return game
+
+
+@settings(max_examples=60, deadline=None)
+@given(games)
+def test_render_tree_length_is_counted_before_any_text_is_built(g):
+    text = render_tree(g)
+    with patch.object(games_module, "MAX_TREE_CHARS", len(text)):
+        assert render_tree(g) == text
+    with patch.object(games_module, "MAX_TREE_CHARS", len(text) - 1):
+        with pytest.raises(RenderSizeError, match=f"game tree would exceed {len(text) - 1} characters"):
+            render_tree(g)
+
+
+def test_render_tree_refuses_a_shared_subtree_written_out_per_path():
+    """Summed with the identity game, a 100-deep chain has a few nodes per
+    level, but its tree writes each one out once per path: 113,215,745
+    characters, past the bound.  The sizes are counted without any text."""
+    game = add(chain(100), identity_game())
+    started = time.perf_counter()
+    with pytest.raises(RenderSizeError, match=f"game tree would exceed {games_module.MAX_TREE_CHARS} characters"):
+        render_tree(game)
+    assert time.perf_counter() - started < 2
+
+
+def test_repr_falls_back_to_a_summary_past_the_notation_bound():
+    game = add(chain(3000), identity_game())
+    assert repr(game) == (
+        f"<Game score=0 left=2 right=1: notation over {games_module.MAX_RENDER_CHARS} characters>"
+    )
+    small = parse_game("{1,2|1/2|-3}")
+    with patch.object(games_module, "MAX_RENDER_CHARS", len(render_game(small)) - 1):
+        assert repr(small) == "<Game score=1/2 left=2 right=1: notation over 11 characters>"
+    assert repr(small) == "Game('{1,2|1/2|-3}')"
 
 
 # ---------------------------------------------------------------------------

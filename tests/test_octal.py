@@ -35,7 +35,7 @@ from scoreplay.octal import (
     subtraction_rules,
 )
 from scoreplay.periods import _nonempty_subsets
-from support import naive_final_scores
+from support import awards, naive_final_scores, non_splitting_rules
 
 
 SUB45 = subtraction_rules((4, 5))
@@ -367,17 +367,6 @@ def test_kernel_matches_evaluator_on_acceptance_rulesets(rules):
     assert all(type(v) is Fraction for v in values)
 
 
-awards = st.one_of(
-    st.sampled_from([Fraction(-7, 2), Fraction(1, 3), Fraction(0)]),
-    st.fractions(min_value=-6, max_value=6, max_denominator=6),
-)
-non_splitting_rules = st.lists(
-    st.tuples(st.integers(0, 3), awards), min_size=1, max_size=6
-).filter(lambda moves: any(d for d, _ in moves)).map(
-    lambda moves: OctalRules("h", [d for d, _ in moves], [p for _, p in moves])
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(non_splitting_rules, st.integers(0, 80), st.integers(0, 80))
 def test_kernel_matches_evaluator_on_random_rules(rules, first, second):
@@ -388,6 +377,15 @@ def test_kernel_matches_evaluator_on_random_rules(rules, first, second):
     assert solver.sweep(first) == reference[: first + 1]
     assert solver.sweep(second) == reference[: second + 1]
     assert solver.positions_evaluated == max(first, second) + 1
+
+
+def test_kernel_without_surviving_moves():
+    """No digit has bit 2, so heaps past the digit count have no move."""
+    rules = OctalRules("h", (1, 0, 1), (Fraction(1, 2), 0, -3))
+    solver = GrundySolver(rules)
+    assert solver.sweep(8) == [0, Fraction(1, 2), 0, -3, 0, 0, 0, 0, 0]
+    assert solver._scaled_sweep(8) == [0, 1, 0, -6, 0, 0, 0, 0, 0]
+    assert solver.sweep(8) == generic_sweep(GrundySolver(rules), 8, "h")
 
 
 def test_kernel_serves_a_mixed_rules_solver():

@@ -17,11 +17,13 @@ from scoreplay.periods import (
     detect_certified_period,
     detect_period,
     parse_scan_spec,
+    render_scaled,
     run_scan,
     scan_instance,
     sequence_digest,
     verify_period,
 )
+from support import non_splitting_rules
 
 
 def frac(values):
@@ -42,6 +44,15 @@ def test_sequence_digest_is_stable_and_sensitive():
     assert len(a) == 16
     assert a != sequence_digest(frac([0, 2, 3]))
     assert sequence_digest([Fraction(1, 2)]) != sequence_digest([Fraction(1, 3)])
+
+
+def test_sequence_digest_of_scaled_ints_matches_their_values():
+    values = [Fraction(-5, 3), Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(7)]
+    scaled = [v.numerator * 6 // v.denominator for v in values]
+    assert render_scaled(scaled, 6) == ["-5/3", "1/2", "0", "1/2", "7"]
+    assert render_scaled(values) == render_scaled(scaled, 6)
+    assert sequence_digest(scaled, 6) == sequence_digest(values)
+    assert sequence_digest(scaled) != sequence_digest(values)
 
 
 def test_verify_period_checks_every_index():
@@ -245,6 +256,24 @@ def test_certified_search_is_stable_under_longer_sweeps():
     assert (short.preperiod, short.period) == (long.preperiod, long.period)
 
 
+@settings(max_examples=80, deadline=None)
+@given(non_splitting_rules, st.integers(3, 150), st.integers(1, 4))
+def test_detection_over_scaled_ints_matches_fractions(rules, max_n, min_window):
+    """The solver's ints are equal exactly when the values they stand for
+    are, so detection and certification find the same report; under the
+    solver's scale the digest renders the same text."""
+    solver = GrundySolver(rules)
+    scaled = solver._scaled_sweep(max_n)
+    values = solver.sweep(max_n)
+    assert all(type(x) is int for x in scaled)
+    assert scaled == [v * solver.scale for v in values]
+    assert detect_certified_period(rules, scaled, min_window, scale=solver.scale) == (
+        detect_certified_period(rules, values, min_window)
+    )
+    assert detect_period(scaled, min_window, solver.scale) == detect_period(values, min_window)
+    assert sequence_digest(scaled, solver.scale) == sequence_digest(values)
+
+
 # ---------------------------------------------------------------------------
 # Alternation identity
 
@@ -369,9 +398,9 @@ def test_scan_instance_budget_exceeded_row():
 def test_scan_instance_hashes_each_sweep_once(monkeypatch):
     hashed = []
 
-    def counting_digest(values):
+    def counting_digest(values, scale=1):
         hashed.append(len(values))
-        return sequence_digest(values)
+        return sequence_digest(values, scale)
 
     monkeypatch.setattr(periods, "sequence_digest", counting_digest)
     for max_n, status in [(60, "ok"), (10, "not-found")]:
