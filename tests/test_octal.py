@@ -20,6 +20,7 @@ from scoreplay.octal import (
     BudgetExceededError,
     ExpansionLimitError,
     GrundySolver,
+    MoveOutcome,
     OctalRules,
     Position,
     RulesError,
@@ -518,6 +519,57 @@ def test_scaled_solver_matches_fraction_reference(a, b, heaps):
     if legal_moves(position, rules):
         assert solver.best_moves(position) == reference.best_moves(position)
     assert final_scores(solver.to_game(position)) == FinalScores(value, -value)
+
+
+def ref_replace_heap(position, heap, parts):
+    heaps = list(position.heaps)
+    heaps.remove(heap)
+    heaps.extend((heap[0], part) for part in parts)
+    return Position(tuple(heaps))
+
+
+def ref_legal_moves(position, rules):
+    """Move generation as it was written in Fraction points: a dict keyed
+    on (points, heaps) merges equal moves, then a sort on that key."""
+    found = {}
+    for heap in set(position.heaps):
+        ruleset_id, size = heap
+        ruleset = rules.get(ruleset_id)
+        if ruleset is None:
+            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
+        for take in range(1, min(size, len(ruleset.digits)) + 1):
+            digit = ruleset.digits[take - 1]
+            award = ruleset.points[take - 1]
+            rest = size - take
+            parts = []
+            if digit & 1 and rest == 0:
+                parts.append(())
+            if digit & 2 and rest >= 1:
+                parts.append((rest,))
+            if digit & 4 and rest >= 2:
+                parts.extend((small, rest - small) for small in range(1, rest // 2 + 1))
+            for split in parts:
+                move = MoveOutcome(award, ref_replace_heap(position, heap, split))
+                found[move.points, move.next.heaps] = move
+    return [found[key] for key in sorted(found)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules_named("a"), rules_named("b"), two_ruleset_heaps)
+@example(HALF, TWO_THIRDS, [("a", 5), ("b", 4)])
+def test_move_generation_matches_reference(a, b, heaps):
+    """``legal_moves`` and the solver's scaled moves agree with the
+    reference, move for move and in the same order, at every position
+    ``to_game`` reaches."""
+    rules = {"a": a, "b": b}
+    solver = GrundySolver(rules)
+    solver.to_game(Position(tuple(heaps)))
+    assert solver._moves
+    for position, scaled in solver._moves.items():
+        reference = ref_legal_moves(position, rules)
+        assert legal_moves(position, rules) == reference
+        assert scaled == [(move.points * solver.scale, move.next) for move in reference]
+        assert all(type(award) is int for award, _ in scaled)
 
 
 def test_scale_is_one_lcm_over_all_rulesets():
