@@ -179,6 +179,10 @@ def game_order(a: Game, b: Game) -> int:
 _SORT_KEY = attrgetter("_key")
 
 
+class GameDepthError(ValueError):
+    """Two options of one node agree too deep down to be put in order."""
+
+
 def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
     opts = tuple(options)
     for opt in opts:
@@ -186,7 +190,12 @@ def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
             raise TypeError(f"game options must be Game instances, got {type(opt).__name__}")
     if len(opts) > 1:
         # options form a set; equal games are one object, so dedupe by identity
-        opts = tuple(sorted(dict.fromkeys(opts), key=_SORT_KEY))
+        try:
+            opts = tuple(sorted(dict.fromkeys(opts), key=_SORT_KEY))
+        except RecursionError:
+            # comparing two keys recurses in C, two levels per game level
+            # that the options share
+            raise GameDepthError("sibling options agree too many levels deep to be ordered") from None
     return opts
 
 
@@ -219,18 +228,8 @@ def negate(game: Game) -> Game:
 
 
 def translate(game: Game, amount) -> Game:
-    """Add ``amount`` to every score in the tree."""
-    amount = as_score(amount)
-    if amount == 0:
-        return game
-    done: dict[Game, Game] = {}
-    for node in _post_order(game, done, _options):
-        done[node] = Game(
-            node.score + amount,
-            [done[child] for child in node.left],
-            [done[child] for child in node.right],
-        )
-    return done[game]
+    """Add ``amount`` to every score in the tree: the sum with a bare number."""
+    return add(game, number(amount))
 
 
 def add(g: Game, h: Game) -> Game:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from scoreplay.games import Game, Score, _post_order, as_score, format_score, parse_score
 
@@ -207,35 +207,30 @@ def resolve_rules_ref(ref: str) -> OctalRules:
     raise RulesError(f"cannot resolve rules reference {ref!r}")
 
 
-@dataclass(frozen=True)
-class Position:
+class _Heaps(NamedTuple):
+    heaps: tuple[tuple[str, int], ...] = ()
+
+
+class Position(_Heaps):
     """A multiset of heaps as ``(ruleset id, size)`` pairs, canonically sorted.
 
     Zero-size heaps are dropped, so equal multisets always compare equal.
-    Heaps under different rulesets may share one position.
+    Heaps under different rulesets may share one position.  A named tuple:
+    positions hash and compare as ``(heaps,)``, and only the constructor
+    canonicalizes.
     """
 
-    heaps: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, heaps: Iterable[tuple[str, int]] = ()) -> Position:
         cleaned = []
-        for ruleset, size in self.heaps:
+        for ruleset, size in heaps:
             size = int(size)
             if size < 0:
                 raise ValueError(f"heap size cannot be negative: {size}")
             if size:
                 cleaned.append((str(ruleset), size))
-        heaps = tuple(sorted(cleaned))
-        object.__setattr__(self, "heaps", heaps)
-        # positions key the solver's memos; a tuple recomputes its hash each time
-        object.__setattr__(self, "_hash", hash(heaps))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so rebuild rather than copy _hash
-        return (Position, (self.heaps,))
+        return super().__new__(cls, tuple(sorted(cleaned)))
 
     @property
     def total(self) -> int:
@@ -277,23 +272,38 @@ def render_position(position: Position) -> str:
     return ",".join(f"{size}@{name}" for name, size in position.heaps)
 
 
-@dataclass(frozen=True)
-class MoveOutcome:
+class MoveOutcome(NamedTuple):
     """One legal move: the points awarded to the mover and the position left."""
 
     points: Score
     next: Position
 
 
-def _move_key(move: MoveOutcome):
-    return (move.points, move.next.heaps)
+def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Mapping[str, Sequence]) -> list:
+    """All distinct ``(award, next position)`` pairs from a position, sorted.
 
-
-def _replace_heap(position: Position, heap: tuple[str, int], parts: tuple[int, ...]) -> Position:
-    heaps = list(position.heaps)
-    heaps.remove(heap)
-    heaps.extend((heap[0], part) for part in parts)
-    return Position(tuple(heaps))
+    ``awards[name][k-1]`` is the award for removing k beans from a heap of
+    ruleset ``name``, in whatever units the caller counts points.
+    """
+    heaps = position.heaps
+    found = set()
+    for index, (ruleset_id, size) in enumerate(heaps):
+        if index and heaps[index - 1] == (ruleset_id, size):
+            continue  # an equal heap has the same moves
+        ruleset = rules.get(ruleset_id)
+        if ruleset is None:
+            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
+        others = heaps[:index] + heaps[index + 1 :]
+        for take, (digit, award) in enumerate(zip(ruleset.digits[:size], awards[ruleset_id]), start=1):
+            rest = size - take
+            if digit & 1 and rest == 0:
+                found.add((award, Position(others)))
+            if digit & 2 and rest:
+                found.add((award, Position(others + ((ruleset_id, rest),))))
+            if digit & 4:
+                for small in range(1, rest // 2 + 1):
+                    found.add((award, Position(others + ((ruleset_id, small), (ruleset_id, rest - small)))))
+    return sorted(found)
 
 
 def legal_moves(position: Position, rules: Mapping[str, OctalRules]) -> list[MoveOutcome]:
@@ -302,31 +312,8 @@ def legal_moves(position: Position, rules: Mapping[str, OctalRules]) -> list[Mov
     Moves that award the same points and reach the same position are merged,
     e.g. taking either of two equal heaps.
     """
-    found: dict[tuple, MoveOutcome] = {}
-    for heap in set(position.heaps):
-        ruleset_id, size = heap
-        ruleset = rules.get(ruleset_id)
-        if ruleset is None:
-            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
-        digits = ruleset.digits
-        points = ruleset.points
-        for take in range(1, min(size, len(digits)) + 1):
-            digit = digits[take - 1]
-            if not digit:
-                continue
-            award = points[take - 1]
-            rest = size - take
-            if digit & 1 and rest == 0:
-                move = MoveOutcome(award, _replace_heap(position, heap, ()))
-                found[_move_key(move)] = move
-            if digit & 2 and rest >= 1:
-                move = MoveOutcome(award, _replace_heap(position, heap, (rest,)))
-                found[_move_key(move)] = move
-            if digit & 4 and rest >= 2:
-                for small in range(1, rest // 2 + 1):
-                    move = MoveOutcome(award, _replace_heap(position, heap, (small, rest - small)))
-                    found[_move_key(move)] = move
-    return sorted(found.values(), key=_move_key)
+    points = {name: ruleset.points for name, ruleset in rules.items()}
+    return [MoveOutcome(*move) for move in _next_moves(position, rules, points)]
 
 
 class _ScaledFractions(dict):
@@ -353,8 +340,9 @@ class GrundySolver:
 
     The solver computes in ints: every award, value and running score is
     kept multiplied by ``scale``, the LCM of the award denominators over all
-    loaded rulesets, which is exact.  A value becomes a Fraction only where
-    a public method returns it, one Fraction per distinct value.
+    loaded rulesets, which is exact.  Each ruleset's awards are scaled once,
+    when the solver is built.  A value or award becomes a Fraction only
+    where a public method returns it, one Fraction per distinct value.
     :meth:`to_game` generates each position's moves once, however many
     running scores reach it; :meth:`value` drops a position's moves as soon
     as the position is valued.
@@ -364,6 +352,10 @@ class GrundySolver:
         self.rules = _normalize_rules(rules)
         self.budget = budget
         self.scale = math.lcm(*(p.denominator for r in self.rules.values() for p in r.points))
+        self._awards = {
+            name: tuple(p.numerator * self.scale // p.denominator for p in r.points)
+            for name, r in self.rules.items()
+        }
         self._values: dict[Position, int] = {}
         # single-heap values of non-splitting rulesets (see sweep)
         self._tables: dict[str, list[int]] = {}
@@ -384,13 +376,6 @@ class GrundySolver:
         self._games.clear()
         self._as_fraction.clear()
 
-    def _scaled(self, award: Score) -> int:
-        return award.numerator * self.scale // award.denominator
-
-    def _scaled_moves(self, position: Position) -> list[tuple[int, Position]]:
-        """``legal_moves`` as ``(scaled award, next position)`` pairs."""
-        return [(self._scaled(move.points), move.next) for move in legal_moves(position, self.rules)]
-
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
         return self._as_fraction[self._scaled_value(position)]
@@ -398,13 +383,14 @@ class GrundySolver:
     def _scaled_value(self, position: Position) -> int:
         values = self._values
         budget = self.budget
+        rules, awards = self.rules, self._awards
         tabled = sum(map(len, self._tables.values()))  # the tables do not change in here
         # each list lives only until its position is valued: keeping them
         # all would hold every move of every position reached
         pending_moves: dict[Position, list[tuple[int, Position]]] = {}
 
         def next_positions(pos: Position) -> list[Position]:
-            moves = pending_moves[pos] = self._scaled_moves(pos)
+            moves = pending_moves[pos] = _next_moves(pos, rules, awards)
             if budget is not None and tabled + len(values) + len(pending_moves) > budget:
                 raise BudgetExceededError(
                     f"position budget exceeded ({budget} positions) "
@@ -418,12 +404,17 @@ class GrundySolver:
 
     def best_moves(self, position: Position) -> list[MoveOutcome]:
         """Moves achieving the optimal value, in canonical order."""
-        moves = legal_moves(position, self.rules)
+        moves = _next_moves(position, self.rules, self._awards)
         if not moves:
             raise ValueError(f"no legal moves from {render_position(position)}")
-        results = [self._scaled(move.points) - self._scaled_value(move.next) for move in moves]
+        results = [award - self._scaled_value(nxt) for award, nxt in moves]
         best = max(results)
-        return [move for move, result in zip(moves, results) if result == best]
+        as_fraction = self._as_fraction
+        return [
+            MoveOutcome(as_fraction[award], nxt)
+            for (award, nxt), result in zip(moves, results)
+            if result == best
+        ]
 
     def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[Score]:
         """Values of ``base`` plus one growing heap, for sizes 0..max_n.
@@ -460,7 +451,7 @@ class GrundySolver:
             # the entry that would take the count past the budget is not computed
             stop = min(stop, len(table) + max(self.budget - self.positions_evaluated, 0))
         digits = rules.digits
-        awards = [self._scaled(p) for p in rules.points]
+        awards = self._awards[rules.name]
         keeps = [(take, awards[take - 1]) for take, d in enumerate(digits, start=1) if d & 2]
         for n in range(len(table), min(stop, len(digits) + 1)):
             options = [award - table[n - take] for take, award in keeps if take < n]
@@ -505,7 +496,7 @@ class GrundySolver:
             pos, offset = key
             moves = moves_of.get(pos)
             if moves is None:
-                moves = moves_of[pos] = self._scaled_moves(pos)
+                moves = moves_of[pos] = _next_moves(pos, self.rules, self._awards)
             return [(nxt, offset + sign * award) for award, nxt in moves for sign in (1, -1)]
 
         for key in _post_order((position, 0), games, options):

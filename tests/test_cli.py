@@ -9,6 +9,7 @@ import pytest
 
 from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS
+from support import ALIKE_TOO_DEEP
 
 
 @pytest.fixture
@@ -116,6 +117,15 @@ def test_deep_plus_wide_sum_fails_with_a_typed_error(run):
     code, out, err = run("sum", "--game", _DEEP_CHAIN, "--game", "{{0|0|0}|0|{0|0|0}}", "--eval")
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: game notation would exceed {MAX_RENDER_CHARS} characters"]
+
+
+def test_eval_of_siblings_alike_too_deep_fails_with_a_typed_error(run):
+    def chain(leaf):
+        return "{" * ALIKE_TOO_DEEP + leaf + "|0|}" * ALIKE_TOO_DEEP
+
+    code, out, err = run("eval", "--game", "{" + chain("1") + "," + chain("0") + "|0|}")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: sibling options agree too many levels deep to be ordered"]
 
 
 def test_sum_needs_exactly_two_games(run):

@@ -22,6 +22,7 @@ from scoreplay.games import (
     _INTERNED,
     FinalScores,
     Game,
+    GameDepthError,
     NotationError,
     Outcome,
     RenderSizeError,
@@ -44,7 +45,7 @@ from scoreplay.games import (
     render_tree,
     translate,
 )
-from support import games, naive_final_scores, scores
+from support import ALIKE_TOO_DEEP, games, naive_final_scores, scores
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +624,16 @@ def test_deep_chains_differing_at_the_leaf_sort_as_siblings():
     assert Game(0, [high, low]).left == (low, high)
     assert game_order(low, high) < 0 < game_order(high, low)
     assert _chain(300, 0) is low
+
+
+def test_siblings_alike_too_deep_raise_a_typed_error():
+    """Ordering two options compares their keys, which recurses deeper
+    with every level the options share; past the interpreter's limit that
+    is a GameDepthError, not a RecursionError."""
+    with pytest.raises(GameDepthError):
+        Game(0, [_chain(ALIKE_TOO_DEEP, 1), _chain(ALIKE_TOO_DEEP, 0)])
+    low, high = _chain(450, 0), _chain(450, 1)
+    assert Game(0, [high, low]).left == (low, high)
 
 
 def test_deep_game_renders_without_recursion():

@@ -594,11 +594,13 @@ def test_budget_errors_match_fraction_reference(a, b, heaps, budget):
 def test_to_game_generates_each_positions_moves_once(monkeypatch):
     calls = Counter()
 
-    def counting_legal_moves(position, rules):
-        calls[position] += 1
-        return legal_moves(position, rules)
+    next_moves = octal._next_moves
 
-    monkeypatch.setattr(octal, "legal_moves", counting_legal_moves)
+    def counting_next_moves(position, rules, awards):
+        calls[position] += 1
+        return next_moves(position, rules, awards)
+
+    monkeypatch.setattr(octal, "_next_moves", counting_next_moves)
     solver = GrundySolver(rules_from_name("o26"))
     for heaps in iter_heap_multisets(8):
         solver.to_game(Position(tuple(("o26", size) for size in heaps)))
