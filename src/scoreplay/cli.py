@@ -224,9 +224,10 @@ def _cmd_period(args) -> int:
     varying, base, values, scale = _sweep_values(args)
     if base.heaps:
         print("note: fixed base position, certification skipped", file=sys.stderr)
-    report = detect_certified_period(varying, values, args.min_window, base, scale)
+    report = detect_certified_period(varying, values, args.min_window, base)
+    digest = sequence_digest(values, scale)
     if report is None:
-        print(f"period=none checked_up_to={args.max_n} values_digest={sequence_digest(values, scale)}")
+        print(f"period=none checked_up_to={args.max_n} values_digest={digest}")
         return 0
     cert_from = ""
     if report.certified:
@@ -238,7 +239,7 @@ def _cmd_period(args) -> int:
     print(
         f"preperiod={report.preperiod} period={report.period} "
         f"certified={_bool(report.certified)}{cert_from} "
-        f"checked_up_to={args.max_n} values_digest={report.sequence_digest}"
+        f"checked_up_to={args.max_n} values_digest={digest}"
     )
     return 0
 

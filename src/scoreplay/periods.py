@@ -53,9 +53,7 @@ def render_scaled(values: Sequence[Score | int], scale: int = 1) -> list[str]:
 class PeriodReport:
     preperiod: int
     period: int
-    checked_up_to: int  # last index of the analyzed sequence
-    certified: bool
-    sequence_digest: str
+    certified: bool = False
 
 
 def verify_period(values: Sequence[Score], preperiod: int, period: int) -> bool:
@@ -66,15 +64,14 @@ def verify_period(values: Sequence[Score], preperiod: int, period: int) -> bool:
     )
 
 
-def _period_candidates(values: Sequence[Score | int], min_window: int, scale: int):
+def _period_candidates(values: Sequence[Score | int], min_window: int):
     """Qualifying (preperiod, period) reports in ascending period order.
 
     For each period the preperiod is minimal; a candidate qualifies when
     the tail from the preperiod holds at least ``min_window`` complete
     copies of the period block.  The preperiod scan runs down from the end
     and stops at the first mismatch, so it has compared every pair that
-    :func:`verify_period` would.  Values are only compared with ``==``;
-    ``scale`` is passed on to :func:`sequence_digest`.
+    :func:`verify_period` would.  Values are only compared with ``==``.
     """
     if min_window < 1:
         raise ValueError("min_window must be at least 1")
@@ -82,7 +79,6 @@ def _period_candidates(values: Sequence[Score | int], min_window: int, scale: in
     if count < min_window:
         raise ValueError(f"sequence of length {count} is shorter than min_window={min_window}")
     last = count - 1
-    digest = None  # hashed once, when the first candidate qualifies
     for period in range(1, count // min_window + 1):
         preperiod = 0
         for n in range(last - period, -1, -1):
@@ -91,24 +87,19 @@ def _period_candidates(values: Sequence[Score | int], min_window: int, scale: in
                 break
         if count - preperiod < min_window * period:
             continue
-        if digest is None:
-            digest = sequence_digest(values, scale)
-        yield PeriodReport(preperiod, period, last, False, digest)
+        yield PeriodReport(preperiod, period)
 
 
-def detect_period(
-    values: Sequence[Score | int], min_window: int = 3, scale: int = 1
-) -> PeriodReport | None:
+def detect_period(values: Sequence[Score | int], min_window: int = 3) -> PeriodReport | None:
     """Smallest period, then smallest preperiod, visible in ``values``.
 
     Purely empirical: a short run at the very end of the sequence can
     qualify (three trailing equal values admit period 1), so callers after
     an eventual period should prefer :func:`detect_certified_period`.
-    Returns None when nothing qualifies.  ``values`` may be exact scores,
-    or a solver's scaled ints with its ``scale`` (see :func:`sequence_digest`);
-    the report is the same.
+    Returns None when nothing qualifies.  ``values`` may be exact scores
+    or a solver's scaled ints; the report is the same.
     """
-    return next(_period_candidates(values, min_window, scale), None)
+    return next(_period_candidates(values, min_window), None)
 
 
 def certified_start(rules: OctalRules, report: PeriodReport) -> int:
@@ -167,7 +158,6 @@ def detect_certified_period(
     values: Sequence[Score | int],
     min_window: int = 3,
     base: Position = Position(),
-    scale: int = 1,
 ) -> PeriodReport | None:
     """Detection that prefers a provable period over a shorter empirical one.
 
@@ -179,13 +169,13 @@ def detect_certified_period(
     certifies — too short a sweep — the plain :func:`detect_period` answer
     is returned unmarked, or None if there is no candidate at all.  A sweep
     over a nonempty ``base`` or under splitting rules gets that answer
-    directly: the proof needs an empty base and no splits.  ``values`` and
-    ``scale`` are as for :func:`detect_period`.
+    directly: the proof needs an empty base and no splits.  ``values`` are
+    as for :func:`detect_period`.
     """
     if base.heaps or rules.splits_heaps:
-        return detect_period(values, min_window, scale)
+        return detect_period(values, min_window)
     first: PeriodReport | None = None
-    for candidate in _period_candidates(values, min_window, scale):
+    for candidate in _period_candidates(values, min_window):
         if first is None:
             first = candidate
         try:
@@ -224,13 +214,12 @@ class LemmaReport:
 
 def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
     """Check the alternation identity and its residue bounds up to ``i_max``."""
-    s_set = sorted(set(int(a) for a in amounts))
-    if not s_set or s_set[0] < 1:
-        raise ValueError(f"subtraction amounts must be positive integers: {s_set}")
+    rules = subtraction_rules(amounts)
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
-    k = s_set[-1]
-    solver = GrundySolver(subtraction_rules(s_set))
+    k = len(rules.digits)
+    s_set = [take for take, digit in enumerate(rules.digits, start=1) if digit]
+    solver = GrundySolver(rules)
     seq = solver.sweep(2 * (i_max + 1) * k)
 
     identity = []
@@ -267,6 +256,13 @@ class ScanInstance:
     max_n: int = 500
     min_window: int = 3
     budget: int | None = 1_000_000
+
+    def __post_init__(self) -> None:
+        if self.max_n < 0 or not 1 <= self.min_window <= self.max_n + 1:
+            raise ValueError(
+                "scan instance needs max_n >= 0 and 1 <= min_window <= max_n + 1, "
+                f"got max_n={self.max_n} min_window={self.min_window}"
+            )
 
 
 @dataclass(frozen=True)
@@ -480,16 +476,15 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     k = _largest_remainder_take(rules)
     two_k = None if k is None else 2 * k
     in_hypothesis = _in_hypothesis(instance)
-    scale = solver.scale
     try:
         # detection compares values with == only, so the scaled ints serve
         values = solver._scaled_sweep(instance.max_n, rules.name, instance.fixed)
     except BudgetExceededError:
         status, report, digest = "budget-exceeded", None, ""
     else:
-        report = detect_certified_period(rules, values, instance.min_window, instance.fixed, scale)
+        report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
         status = "not-found" if report is None else "ok"
-        digest = sequence_digest(values, scale) if report is None else report.sequence_digest
+        digest = sequence_digest(values, solver.scale)
     certified = report is not None and report.certified
     period = None if report is None else report.period
     divides = None if two_k is None or period is None else two_k % period == 0

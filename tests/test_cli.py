@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scoreplay import periods
 from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS
 from support import ALIKE_TOO_DEEP
@@ -325,6 +326,27 @@ def test_scan_missing_spec_file(run, tmp_path):
     code, _, err = run("scan", "--spec", str(tmp_path / "absent.scan"))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("instance: sub45\nmax-n: -1\ninstance: sub:3\n", 3),
+        ("instance: sub45\nmin-window: 0\ninstance: sub:3\n", 3),
+        ("instance: sub:3 max-n=5 min-window=10\n", 1),
+    ],
+)
+def test_scan_rejects_bad_settings_before_sweeping(run, tmp_path, monkeypatch, text, lineno):
+    def sweep(instance):
+        raise AssertionError(f"swept {instance.name} from a spec with a bad setting")
+
+    monkeypatch.setattr(periods, "scan_instance", sweep)
+    spec = tmp_path / "bad.scan"
+    spec.write_text(text, encoding="utf-8")
+    code, out, err = run("scan", "--spec", str(spec))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: scan spec line {lineno}: ")
+    assert err.count("\n") == 1
 
 
 def test_readme_scan_spec_runs(run, tmp_path):

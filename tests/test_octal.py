@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scoreplay import octal
-from scoreplay.games import FinalScores, final_scores, parse_game
+from scoreplay.games import FinalScores, add, final_scores, parse_game
 from scoreplay.octal import (
     BudgetExceededError,
     ExpansionLimitError,
@@ -570,6 +570,25 @@ def test_move_generation_matches_reference(a, b, heaps):
         assert legal_moves(position, rules) == reference
         assert scaled == [(move.points * solver.scale, move.next) for move in reference]
         assert all(type(award) is int for award, _ in scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rules_named("a"),
+    rules_named("b"),
+    st.tuples(two_ruleset_heaps, two_ruleset_heaps).filter(
+        lambda pq: sum(size for _, size in pq[0] + pq[1]) <= 10
+    ),
+)
+def test_heap_games_add_under_the_long_rule(a, b, pq):
+    """The game of heaps ``p + q`` is the long-rule sum of the games of
+    ``p`` and ``q``, the very same shared node.  Values do not add:
+    ``test_value_of_two_equal_heaps_is_zero`` is the matching example,
+    two heaps of value 4 whose sum has value 0."""
+    p, q = pq
+    solver = GrundySolver({"a": a, "b": b})
+    whole = solver.to_game(Position(tuple(p + q)))
+    assert whole is add(solver.to_game(Position(tuple(p))), solver.to_game(Position(tuple(q))))
 
 
 def test_scale_is_one_lcm_over_all_rulesets():

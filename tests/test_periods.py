@@ -69,7 +69,6 @@ def test_verify_period_checks_every_index():
 def test_detect_all_zero_sequence():
     report = detect_period(frac([0] * 8))
     assert (report.preperiod, report.period) == (0, 1)
-    assert report.checked_up_to == 7
     assert not report.certified
 
 
@@ -158,7 +157,7 @@ def test_certify_period_five_from_sweep_to_sixty():
 
 def test_certify_rejects_wrong_period():
     values = sweep(O3333P2, 60)
-    wrong = PeriodReport(0, 3, 60, False, sequence_digest(values))
+    wrong = PeriodReport(0, 3)
     assert certify_period(O3333P2, wrong, values) is False
 
 
@@ -184,13 +183,13 @@ def diverging_sequence(rules, preperiod, period, matches):
     Not a sweep of ``rules``: the head is arbitrary, so only the window
     check stands between this sequence and a certificate.
     """
-    report = PeriodReport(preperiod, period, 0, False, "")
+    report = PeriodReport(preperiod, period)
     start = certified_start(rules, report)
     length = start + 2 * period + len(rules.digits)
     values = [Fraction(n * n % 5, 1 + n % 2) for n in range(start + period)]
     for m in range(start + period, length):
         values.append(values[m - period] + (1 if m - period == start + matches else 0))
-    return PeriodReport(preperiod, period, length - 1, False, sequence_digest(values)), values
+    return PeriodReport(preperiod, period), values
 
 
 @pytest.mark.parametrize("rules", [SUB3, O3333P2, rules_from_name("sub45")], ids=lambda r: r.name)
@@ -267,10 +266,10 @@ def test_detection_over_scaled_ints_matches_fractions(rules, max_n, min_window):
     values = solver.sweep(max_n)
     assert all(type(x) is int for x in scaled)
     assert scaled == [v * solver.scale for v in values]
-    assert detect_certified_period(rules, scaled, min_window, scale=solver.scale) == (
+    assert detect_certified_period(rules, scaled, min_window) == (
         detect_certified_period(rules, values, min_window)
     )
-    assert detect_period(scaled, min_window, solver.scale) == detect_period(values, min_window)
+    assert detect_period(scaled, min_window) == detect_period(values, min_window)
     assert sequence_digest(scaled, solver.scale) == sequence_digest(values)
 
 
@@ -357,6 +356,26 @@ def test_parse_scan_spec_fixed_base_pulls_extra_rules():
 def test_parse_scan_spec_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_scan_spec(text)
+
+
+BAD_SETTING_SPECS = [
+    ("instance: sub45\nmax-n: -1\ninstance: sub:3\n", 3),
+    ("instance: sub45\nmin-window: 0\nsubtraction-family: 1-2\n", 3),
+    ("instance: sub:3 max-n=5 min-window=10\n", 1),
+]
+
+
+@pytest.mark.parametrize("text, lineno", BAD_SETTING_SPECS)
+def test_parse_scan_spec_checks_instance_settings(text, lineno):
+    """A negative max-n, a min-window below 1, or one longer than the
+    sweep is an error of the spec line that makes the instance."""
+    with pytest.raises(ValueError, match=f"^scan spec line {lineno}: scan instance needs"):
+        parse_scan_spec(text)
+
+
+def test_scan_instance_accepts_the_tightest_window():
+    assert ScanInstance("sub3", SUB3, max_n=0, min_window=1).max_n == 0
+    assert ScanInstance("sub3", SUB3, max_n=5, min_window=6).min_window == 6
 
 
 # ---------------------------------------------------------------------------
