@@ -37,6 +37,7 @@ from scoreplay.octal import (
 )
 from scoreplay.periods import (
     _bool,
+    _check_window,
     certified_start,
     check_lemma,
     detect_certified_period,
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gs", help="value and best moves of a heap position")
     p.add_argument("--rules", action="append", required=True, metavar="REF",
-                   help="rules file, preset name, sub:/nim: shorthand, or inline document")
+                   help="rules file, preset or generated name, sub:/nim: shorthand, or inline document")
     p.add_argument("--position", required=True, help="comma-separated size@ruleset terms, '-' for empty")
     p.add_argument("--budget", type=int, default=1_000_000)
     p.set_defaults(handler=_cmd_gs)
@@ -221,6 +222,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    if args.max_n >= 0:  # the sweep refuses a negative max_n
+        _check_window(args.max_n + 1, args.min_window)
     varying, base, values, scale = _sweep_values(args)
     if base.heaps:
         print("note: fixed base position, certification skipped", file=sys.stderr)

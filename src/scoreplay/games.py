@@ -327,12 +327,13 @@ def is_impartial(game: Game) -> bool:
     """Do both players hold mirror-image move sets at the root?
 
     The left options must be the right options reflected about twice the
-    root score (duplicates collapse; equal games are one object, so the
-    sets compare by identity).  Games with options on exactly one side are
-    never impartial.
+    root score.  Reflecting the whole game about that keeps the root score
+    and maps the right options onto the left ones, and reflection is an
+    involution, so the game comes back exactly when its root is impartial;
+    equal games are one object, so ``is`` compares structure.  Games with
+    options on exactly one side are never impartial.
     """
-    about = 2 * game.score
-    return set(game.left) == {reflect(option, about) for option in game.right}
+    return reflect(game, 2 * game.score) is game
 
 
 def identity_game() -> Game:

@@ -89,37 +89,36 @@ class OctalRules:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def subtraction_rules(amounts: Iterable[int], name: str | None = None) -> OctalRules:
-    """Remove exactly s beans for s in the set; the mover scores s points."""
+def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
+    """Remove exactly s beans for s in the set; the mover scores s points.
+
+    Named ``sub45`` while every amount is below 10, else ``sub-1-10``.
+    """
     cleaned = sorted(set(int(a) for a in amounts))
     if not cleaned or cleaned[0] < 1:
         raise RulesError(f"subtraction amounts must be positive integers: {cleaned}")
-    if name is None:
-        joiner = "" if cleaned[-1] <= 9 else "-"
-        name = "sub" + joiner.join(map(str, cleaned))
     top = cleaned[-1]
+    joiner = "" if top <= 9 else "-"
+    name = "sub" + "".join(joiner + str(a) for a in cleaned)
     digits = tuple(3 if k in cleaned else 0 for k in range(1, top + 1))
     points = tuple(Fraction(k) if k in cleaned else _ZERO for k in range(1, top + 1))
     return OctalRules(name, digits, points)
 
 
-def standard_nim(max_take: int, name: str | None = None) -> OctalRules:
+def standard_nim(max_take: int) -> OctalRules:
     """Take any number of beans up to ``max_take``, one point per bean."""
     if max_take < 1:
         raise RulesError("max_take must be at least 1")
-    if name is None:
-        name = f"nim{max_take}"
     return OctalRules(
-        name,
+        f"nim{max_take}",
         tuple(3 for _ in range(max_take)),
         tuple(Fraction(k) for k in range(1, max_take + 1)),
     )
 
 
 PRESETS = {
-    "sub45": lambda: subtraction_rules((4, 5), name="sub45"),
-    "o3333p2": lambda: OctalRules("o3333p2", (3, 3, 3, 3), (2, 2, 2, 2)),
-    "o26": lambda: OctalRules("o26", (2, 6), (1, 2)),
+    "o3333p2": OctalRules("o3333p2", (3, 3, 3, 3), (2, 2, 2, 2)),
+    "o26": OctalRules("o26", (2, 6), (1, 2)),
 }
 
 
@@ -163,17 +162,16 @@ def parse_rules_document(text: str) -> OctalRules:
 
 
 def rules_from_name(name: str) -> OctalRules | None:
-    """Rebuild a ruleset from a generated name like ``sub45`` or ``nim9``."""
-    builder = PRESETS.get(name)
-    if builder is not None:
-        return builder()
-    match = re.fullmatch(r"nim(\d+)", name)
-    if match:
-        return standard_nim(int(match.group(1)))
-    match = re.fullmatch(r"sub([1-9]+)", name)
-    if match:
-        return subtraction_rules(int(ch) for ch in match.group(1))
-    return None
+    """Rebuild a preset, or a generated name like ``sub45``, ``sub-1-10`` or ``nim9``."""
+    if name in PRESETS:
+        return PRESETS[name]
+    match = re.fullmatch(r"nim(\d+)|sub([1-9]+)|sub((?:-\d+)+)", name)
+    if match is None:
+        return None
+    nim, run, dashed = match.groups()
+    if nim:
+        return standard_nim(int(nim))
+    return subtraction_rules(run or dashed.split("-")[1:])
 
 
 def resolve_rules_ref(ref: str) -> OctalRules:
@@ -335,8 +333,9 @@ class GrundySolver:
     the value of the position left behind; positions without moves are worth
     zero.  One memo table serves every query, so sweeps share work.  The
     ``budget`` is cumulative per solver, not per query: it caps the memo and
-    the sweep tables together.  Not thread-safe: give each worker its own
-    solver (values do not depend on evaluation order).
+    the sweep tables together.  None means no cap; a negative budget is
+    refused.  Not thread-safe: give each worker its own solver (values do
+    not depend on evaluation order).
 
     The solver computes in ints: every award, value and running score is
     kept multiplied by ``scale``, the LCM of the award denominators over all
@@ -349,6 +348,8 @@ class GrundySolver:
     """
 
     def __init__(self, rules, budget: int | None = None):
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         self.rules = _normalize_rules(rules)
         self.budget = budget
         self.scale = math.lcm(*(p.denominator for r in self.rules.values() for p in r.points))

@@ -64,6 +64,14 @@ def verify_period(values: Sequence[Score], preperiod: int, period: int) -> bool:
     )
 
 
+def _check_window(count: int, min_window: int) -> None:
+    """Refuse a window that ``count`` values cannot be searched with."""
+    if min_window < 1:
+        raise ValueError("min_window must be at least 1")
+    if count < min_window:
+        raise ValueError(f"sequence of length {count} is shorter than min_window={min_window}")
+
+
 def _period_candidates(values: Sequence[Score | int], min_window: int):
     """Qualifying (preperiod, period) reports in ascending period order.
 
@@ -73,11 +81,8 @@ def _period_candidates(values: Sequence[Score | int], min_window: int):
     and stops at the first mismatch, so it has compared every pair that
     :func:`verify_period` would.  Values are only compared with ``==``.
     """
-    if min_window < 1:
-        raise ValueError("min_window must be at least 1")
     count = len(values)
-    if count < min_window:
-        raise ValueError(f"sequence of length {count} is shorter than min_window={min_window}")
+    _check_window(count, min_window)
     last = count - 1
     for period in range(1, count // min_window + 1):
         preperiod = 0
@@ -263,6 +268,8 @@ class ScanInstance:
                 "scan instance needs max_n >= 0 and 1 <= min_window <= max_n + 1, "
                 f"got max_n={self.max_n} min_window={self.min_window}"
             )
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"scan instance needs budget >= 0 or none, got budget={self.budget}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 from scoreplay import periods
 from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS
+from scoreplay.octal import GrundySolver
 from support import ALIKE_TOO_DEEP
 
 
@@ -253,6 +254,26 @@ def test_scaled_sweep_output_bytes_are_pinned(run, argv, expected):
     assert run(*argv) == (0, expected, "")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-n", "40", "--min-window", "0"], "min_window must be at least 1"),
+        (["--max-n", "5", "--min-window", "7"], "sequence of length 6 is shorter than min_window=7"),
+    ],
+)
+def test_period_checks_the_window_before_sweeping(run, monkeypatch, argv, message):
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept with a bad window")
+
+    monkeypatch.setattr(GrundySolver, "_scaled_sweep", sweep)
+    assert run("period", "--rules", "o26", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_negative_budget_is_refused(run):
+    code, out, err = run("gs", "--rules", "sub45", "--position", "5@sub45", "--budget", "-1")
+    assert (code, out, err) == (2, "", "error: budget must be nonnegative, got -1\n")
+
+
 def test_lemma_pass(run):
     code, out, _ = run("lemma", "--set", "4,5", "--imax", "5")
     assert code == 0
@@ -334,6 +355,8 @@ def test_scan_missing_spec_file(run, tmp_path):
         ("instance: sub45\nmax-n: -1\ninstance: sub:3\n", 3),
         ("instance: sub45\nmin-window: 0\ninstance: sub:3\n", 3),
         ("instance: sub:3 max-n=5 min-window=10\n", 1),
+        ("budget: -1\ninstance: sub45\n", 2),
+        ("instance: sub45 budget=-1\n", 1),
     ],
 )
 def test_scan_rejects_bad_settings_before_sweeping(run, tmp_path, monkeypatch, text, lineno):
@@ -347,6 +370,16 @@ def test_scan_rejects_bad_settings_before_sweeping(run, tmp_path, monkeypatch, t
     assert (code, out) == (2, "")
     assert err.startswith(f"error: scan spec line {lineno}: ")
     assert err.count("\n") == 1
+
+
+def test_scan_keeps_amounts_above_nine_apart(run, tmp_path):
+    """``{12}`` and ``{1, 2}`` are two instances, not one name twice."""
+    spec = tmp_path / "apart.scan"
+    spec.write_text("max-n: 100\ninstance: sub:12\ninstance: sub:1,2\n", encoding="utf-8")
+    code, out, err = run("scan", "--spec", str(spec))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("sub-12", "24"), ("sub12", "4")]
 
 
 def test_readme_scan_spec_runs(run, tmp_path):

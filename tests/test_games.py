@@ -485,6 +485,12 @@ def ref_is_impartial(game: Game) -> bool:
     return lefts == mirrored_rights
 
 
+def mirror_is_impartial(game: Game) -> bool:
+    """Impartiality as the right options reflected one by one onto the left."""
+    about = 2 * game.score
+    return set(game.left) == {reflect(option, about) for option in game.right}
+
+
 @settings(max_examples=80, deadline=None)
 @given(games, scores)
 def test_reflect_matches_negate_then_translate(g, c):
@@ -508,14 +514,21 @@ def test_add_matches_the_reference(g, h):
 @settings(max_examples=80, deadline=None)
 @given(games, scores, st.lists(games, min_size=1, max_size=3), st.integers(min_value=0, max_value=2))
 def test_is_impartial_matches_the_reference(g, s, lefts, which):
-    assert is_impartial(g) == ref_is_impartial(g)
+    assert is_impartial(g) == ref_is_impartial(g) == mirror_is_impartial(g)
     rights = [reflect(o, 2 * s) for o in lefts]
     impartial = Game(s, lefts, rights)
-    assert is_impartial(impartial) and ref_is_impartial(impartial)
+    assert is_impartial(impartial) and ref_is_impartial(impartial) and mirror_is_impartial(impartial)
     which %= len(rights)
     rights[which] = translate(rights[which], 1)
     perturbed = Game(s, lefts, rights)
-    assert is_impartial(perturbed) == ref_is_impartial(perturbed)
+    assert is_impartial(perturbed) == ref_is_impartial(perturbed) == mirror_is_impartial(perturbed)
+
+
+def test_is_impartial_matches_the_option_mirror_on_generated_games():
+    for seed in range(40):
+        game = generate_impartial(max_depth=3, max_branch=3, seed=seed)
+        for node in (game, *game.left, *game.right, Game(game.score, game.left, game.right[1:])):
+            assert is_impartial(node) == mirror_is_impartial(node)
 
 
 def test_deep_chain_algebra_and_notation_need_no_recursion():

@@ -139,6 +139,35 @@ def test_rules_from_name_round_trips_generated_names():
     assert rules_from_name("mystery") is None
 
 
+def test_generated_names_are_distinct_and_rebuild_their_rules():
+    """A subtraction set names itself by its amounts, run together while
+    all are below 10 and dashed otherwise, so no two sets share a name;
+    ``rules_from_name`` rebuilds each one, nim bounds and presets too."""
+    generated = [subtraction_rules(subset) for subset in _nonempty_subsets(range(1, 13))]
+    generated += [standard_nim(k) for k in range(1, 31)]
+    generated += octal.PRESETS.values()
+    assert len({rules.name for rules in generated}) == len(generated) == 4095 + 30 + 2
+    for rules in generated:
+        assert rules_from_name(rules.name) == rules
+    assert [subtraction_rules(s).name for s in [(4, 5), (12,), (1, 2), (1, 10), (1, 2, 10)]] == [
+        "sub45", "sub-12", "sub12", "sub-1-10", "sub-1-2-10",
+    ]
+
+
+def test_presets_are_rulesets():
+    assert set(octal.PRESETS) == {"o3333p2", "o26"}
+    for name, rules in octal.PRESETS.items():
+        assert isinstance(rules, OctalRules) and rules.name == name
+
+
+def test_dashed_names_resolve_and_parse():
+    rules = subtraction_rules((1, 10))
+    assert resolve_rules_ref("sub-1-10") == rules == resolve_rules_ref("sub:1,10")
+    assert resolve_rules_ref("sub-12") == subtraction_rules((12,)) != resolve_rules_ref("sub12")
+    assert parse_position("3@sub-1-10,2@sub45") == Position((("sub-1-10", 3), ("sub45", 2)))
+    assert parse_position("11", known={"sub-1-10"}) == heap(11, rules)
+
+
 def test_resolve_rules_ref_forms(tmp_path):
     assert resolve_rules_ref("sub:4,5") == SUB45
     assert resolve_rules_ref("nim:3") == standard_nim(3)
@@ -194,8 +223,9 @@ def test_render_position_round_trip():
 
 
 def test_position_copies_rebuild_their_hash():
-    """A position caches its hash, and string hashes differ between
-    processes, so a pickle must not carry the cached value along."""
+    """String hashes differ between processes, so a copied or unpickled
+    position must hash as one built from its heaps in the process that
+    reads it."""
     position = parse_position("3@sub45,5@o26")
     assert copy.copy(position) == position
     assert hash(copy.deepcopy(position)) == hash(position)
@@ -323,6 +353,13 @@ def test_budget_is_cumulative_over_sweep_tables_and_memo():
     solver.sweep(40)
     with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(50 positions\) evaluating 25@sub45$"):
         solver.value(heap(25))
+
+
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match=r"^budget must be nonnegative, got -1$"):
+        GrundySolver(SUB45, budget=-1)
+    with pytest.raises(BudgetExceededError, match=r"\(0 positions\)"):
+        GrundySolver(SUB45, budget=0).value(heap(5))
 
 
 def test_rules_map_key_must_match_name():

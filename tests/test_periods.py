@@ -320,6 +320,12 @@ def test_parse_scan_spec_family():
     assert len(spec.digest) == 16
 
 
+def test_parse_scan_spec_names_every_subset_of_a_wide_family_apart():
+    spec = parse_scan_spec("subtraction-family: 1-12\n")
+    assert len(spec.instances) == len({inst.name for inst in spec.instances}) == 4095
+    assert {"sub12", "sub-12", "sub-1-2-10"} <= {inst.name for inst in spec.instances}
+
+
 def test_parse_scan_spec_instance_settings():
     spec = parse_scan_spec(
         "instance: o3333p2 max-n=25 min-window=2 budget=none\n"
@@ -362,15 +368,23 @@ BAD_SETTING_SPECS = [
     ("instance: sub45\nmax-n: -1\ninstance: sub:3\n", 3),
     ("instance: sub45\nmin-window: 0\nsubtraction-family: 1-2\n", 3),
     ("instance: sub:3 max-n=5 min-window=10\n", 1),
+    ("budget: -1\ninstance: sub45\n", 2),
+    ("instance: sub45 budget=-1\n", 1),
 ]
 
 
 @pytest.mark.parametrize("text, lineno", BAD_SETTING_SPECS)
 def test_parse_scan_spec_checks_instance_settings(text, lineno):
-    """A negative max-n, a min-window below 1, or one longer than the
-    sweep is an error of the spec line that makes the instance."""
+    """A negative max-n or budget, a min-window below 1, or one longer
+    than the sweep is an error of the spec line that makes the instance."""
     with pytest.raises(ValueError, match=f"^scan spec line {lineno}: scan instance needs"):
         parse_scan_spec(text)
+
+
+def test_scan_instance_budget_may_be_zero():
+    assert ScanInstance("sub3", SUB3, budget=0).budget == 0
+    (inst,) = parse_scan_spec("budget: 0\ninstance: sub45\n").instances
+    assert inst.budget == 0
 
 
 def test_scan_instance_accepts_the_tightest_window():
