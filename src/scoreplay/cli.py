@@ -181,9 +181,9 @@ def _cmd_tree(args) -> int:
 def _cmd_gs(args) -> int:
     rules = _load_rules(args.rules)
     position = parse_position(args.position, known=rules)
-    solver = GrundySolver(rules, budget=args.budget)
+    solver = GrundySolver(rules.values(), budget=args.budget)
     print(f"value={format_score(solver.value(position))}")
-    if not legal_moves(position, rules):
+    if not legal_moves(position, rules.values()):
         print("best=none")
         return 0
     for move in solver.best_moves(position):
@@ -200,7 +200,7 @@ def _sweep_values(args) -> tuple[OctalRules, Position, list[int], int]:
     solver's scale, and that scale."""
     rules = _load_rules(args.rules)
     base = parse_position(args.fixed, known=rules)
-    solver = GrundySolver(rules, budget=args.budget)
+    solver = GrundySolver(rules.values(), budget=args.budget)
     values = solver._scaled_sweep(args.max_n, args.var, base)
     return solver.rules[solver._resolve_var(args.var)], base, values, solver.scale
 
@@ -281,7 +281,7 @@ def _cmd_oracle(args) -> int:
     failures = 0
     total_positions = 0
     for name in sorted(rules):
-        solver = GrundySolver({name: rules[name]}, budget=args.budget)
+        solver = GrundySolver(rules[name], budget=args.budget)
         cache: dict = {}
         checked = 0
         bad = 0

@@ -116,10 +116,10 @@ def standard_nim(max_take: int) -> OctalRules:
     )
 
 
-PRESETS = {
-    "o3333p2": OctalRules("o3333p2", (3, 3, 3, 3), (2, 2, 2, 2)),
-    "o26": OctalRules("o26", (2, 6), (1, 2)),
-}
+PRESETS = {r.name: r for r in (
+    OctalRules("o3333p2", (3, 3, 3, 3), (2, 2, 2, 2)),
+    OctalRules("o26", (2, 6), (1, 2)),
+)}
 
 
 def _tokens(value: str) -> list[str]:
@@ -162,16 +162,16 @@ def parse_rules_document(text: str) -> OctalRules:
 
 
 def rules_from_name(name: str) -> OctalRules | None:
-    """Rebuild a preset, or a generated name like ``sub45``, ``sub-1-10`` or ``nim9``."""
-    if name in PRESETS:
-        return PRESETS[name]
+    """The ruleset named ``name``: a preset, or a generated name like ``sub45``, ``sub-1-10`` or ``nim9``.
+
+    Any other spelling of a set, such as ``sub54``, names no ruleset.
+    """
     match = re.fullmatch(r"nim(\d+)|sub([1-9]+)|sub((?:-\d+)+)", name)
     if match is None:
-        return None
+        return PRESETS.get(name)
     nim, run, dashed = match.groups()
-    if nim:
-        return standard_nim(int(nim))
-    return subtraction_rules(run or dashed.split("-")[1:])
+    rules = standard_nim(int(nim)) if nim else subtraction_rules(run or dashed.split("-")[1:])
+    return rules if rules.name == name else None
 
 
 def resolve_rules_ref(ref: str) -> OctalRules:
@@ -281,7 +281,9 @@ def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Map
     """All distinct ``(award, next position)`` pairs from a position, sorted.
 
     ``awards[name][k-1]`` is the award for removing k beans from a heap of
-    ruleset ``name``, in whatever units the caller counts points.
+    ruleset ``name``, in whatever units the caller counts points.  The
+    heaps are canonical already, so each next position is sorted here and
+    wrapped once, without the constructor's checks.
     """
     heaps = position.heaps
     found = set()
@@ -295,21 +297,23 @@ def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Map
         for take, (digit, award) in enumerate(zip(ruleset.digits[:size], awards[ruleset_id]), start=1):
             rest = size - take
             if digit & 1 and rest == 0:
-                found.add((award, Position(others)))
+                found.add((award, others))
             if digit & 2 and rest:
-                found.add((award, Position(others + ((ruleset_id, rest),))))
+                found.add((award, tuple(sorted(others + ((ruleset_id, rest),)))))
             if digit & 4:
                 for small in range(1, rest // 2 + 1):
-                    found.add((award, Position(others + ((ruleset_id, small), (ruleset_id, rest - small)))))
-    return sorted(found)
+                    found.add((award, tuple(sorted(others + ((ruleset_id, small), (ruleset_id, rest - small))))))
+    make = Position._make
+    return [(award, make((heaps,))) for award, heaps in sorted(found)]
 
 
-def legal_moves(position: Position, rules: Mapping[str, OctalRules]) -> list[MoveOutcome]:
+def legal_moves(position: Position, rules: OctalRules | Iterable[OctalRules]) -> list[MoveOutcome]:
     """All distinct moves from a position, in canonical order.
 
     Moves that award the same points and reach the same position are merged,
     e.g. taking either of two equal heaps.
     """
+    rules = _normalize_rules(rules)
     points = {name: ruleset.points for name, ruleset in rules.items()}
     return [MoveOutcome(*move) for move in _next_moves(position, rules, points)]
 
@@ -329,12 +333,12 @@ class _ScaledFractions(dict):
 class GrundySolver:
     """Memoized evaluator for the first player's optimal score differential.
 
-    The value of a position is the best over all moves of the award minus
-    the value of the position left behind; positions without moves are worth
-    zero.  One memo table serves every query, so sweeps share work.  The
-    ``budget`` is cumulative per solver, not per query: it caps the memo and
-    the sweep tables together.  None means no cap; a negative budget is
-    refused.  Not thread-safe: give each worker its own solver (values do
+    ``rules`` is one ruleset or an iterable of them.  The value of a
+    position is the best over all moves of the award minus the value of the
+    position left behind; positions without moves are worth zero.  One memo
+    table serves every query, so sweeps share work.  The ``budget`` is
+    cumulative per solver, not per query: it caps the memo and the sweep
+    tables together.  None means no cap; a negative budget is refused.  Not thread-safe: give each worker its own solver (values do
     not depend on evaluation order).
 
     The solver computes in ints: every award, value and running score is
@@ -347,7 +351,7 @@ class GrundySolver:
     as the position is valued.
     """
 
-    def __init__(self, rules, budget: int | None = None):
+    def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self.rules = _normalize_rules(rules)
@@ -520,16 +524,10 @@ class GrundySolver:
         return var
 
 
-def _normalize_rules(rules) -> dict[str, OctalRules]:
+def _normalize_rules(rules: OctalRules | Iterable[OctalRules]) -> dict[str, OctalRules]:
+    """One ruleset or an iterable of them, keyed by name."""
     if isinstance(rules, OctalRules):
-        return {rules.name: rules}
-    if isinstance(rules, Mapping):
-        for key, value in rules.items():
-            if not isinstance(value, OctalRules):
-                raise TypeError(f"expected OctalRules, got {type(value).__name__}")
-            if key != value.name:
-                raise RulesError(f"rules map key {key!r} does not match ruleset name {value.name!r}")
-        return dict(rules)
+        rules = (rules,)
     out: dict[str, OctalRules] = {}
     for item in rules:
         if not isinstance(item, OctalRules):
@@ -546,8 +544,10 @@ def iter_heap_multisets(max_total: int) -> Iterator[tuple[int, ...]]:
     """Every multiset of positive heap sizes with total at most ``max_total``.
 
     Yields weakly decreasing tuples, the empty one first; deterministic
-    order.
+    order.  A negative ``max_total`` is refused before anything is yielded.
     """
+    if max_total < 0:
+        raise ValueError("max_total must be nonnegative")
 
     def parts(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         yield ()
@@ -555,4 +555,4 @@ def iter_heap_multisets(max_total: int) -> Iterator[tuple[int, ...]]:
             for rest in parts(remaining - first, first):
                 yield (first,) + rest
 
-    yield from parts(max_total, max_total)
+    return parts(max_total, max_total)

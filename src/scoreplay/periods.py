@@ -254,7 +254,6 @@ def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
 
 @dataclass(frozen=True)
 class ScanInstance:
-    name: str
     rules: OctalRules
     extra_rules: tuple[OctalRules, ...] = ()
     fixed: Position = Position()
@@ -353,9 +352,10 @@ def parse_scan_spec(text: str) -> ScanSpec:
     seen_names: set[str] = set()
 
     def add_instance(inst: ScanInstance) -> None:
-        if inst.name in seen_names:
-            raise ValueError(f"duplicate scan instance {inst.name!r}")
-        seen_names.add(inst.name)
+        name = inst.rules.name
+        if name in seen_names:
+            raise ValueError(f"duplicate scan instance {name!r}")
+        seen_names.add(name)
         instances.append(inst)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -376,8 +376,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
                 ground = _parse_ground_set(value)
                 for subset in _nonempty_subsets(ground):
                     rules = subtraction_rules(subset)
-                    instance = ScanInstance(rules.name, rules, (), Position(), *settings.values())
-                    add_instance(instance)
+                    add_instance(ScanInstance(rules, (), Position(), *settings.values()))
             elif key == "instance":
                 add_instance(_parse_instance_line(value, settings))
             else:
@@ -444,7 +443,7 @@ def _parse_instance_line(value: str, defaults: dict[str, int | None]) -> ScanIns
         if rebuilt is None:
             raise ValueError(f"fixed position references unknown ruleset {name!r}")
         extra.append(rebuilt)
-    return ScanInstance(rules.name, rules, tuple(extra), fixed, *settings.values())
+    return ScanInstance(rules, tuple(extra), fixed, *settings.values())
 
 
 def _respects_take_equals_score(rules: OctalRules) -> bool:
@@ -496,7 +495,7 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     period = None if report is None else report.period
     divides = None if two_k is None or period is None else two_k % period == 0
     return ScanRow(
-        instance=instance.name,
+        instance=rules.name,
         status=status,
         preperiod=None if report is None else report.preperiod,
         period=period,
@@ -518,5 +517,5 @@ def run_scan(spec: ScanSpec) -> ScanReport:
     Instances are independent; this runs them serially, which is one valid
     schedule, and sorting makes the report stable either way.
     """
-    rows = tuple(scan_instance(inst) for inst in sorted(spec.instances, key=lambda i: i.name))
+    rows = tuple(scan_instance(inst) for inst in sorted(spec.instances, key=lambda i: i.rules.name))
     return ScanReport(spec.digest, spec.seed, rows)

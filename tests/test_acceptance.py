@@ -202,7 +202,7 @@ def test_criterion_10_family_scan_reports_evidence():
     flagged = [row for row in report.rows if row.counterexample]
     false_flags = []
     for row in flagged:
-        (instance,) = [inst for inst in spec.instances if inst.name == row.instance]
+        (instance,) = [inst for inst in spec.instances if inst.rules.name == row.instance]
         widened = scan_instance(dataclasses.replace(instance, max_n=row.max_n * 2))
         if not widened.counterexample:
             false_flags.append(row.instance)

@@ -172,6 +172,13 @@ def test_gs_accepts_inline_rules_and_multiple_heaps(run):
     assert out.startswith("value=")
 
 
+def test_gs_refuses_another_spelling_of_a_name(run):
+    """``sub54`` would rebuild the ruleset named ``sub45``; it names none."""
+    code, out, err = run("gs", "--rules", "sub54", "--position", "3@sub54")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot resolve rules reference 'sub54'\n"
+
+
 def test_table_csv_is_exact(run):
     code, out, _ = run("table", "--rules", "sub45", "--max-n", "15")
     assert code == 0
@@ -325,6 +332,12 @@ def test_oracle_small(run):
     assert out.strip().endswith("oracle: pass (rulesets=1, positions=19)")
 
 
+def test_oracle_refuses_a_negative_max_total(run):
+    assert run("oracle", "--rules", "sub45", "--max-total", "-1") == (
+        2, "", "error: max_total must be nonnegative\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scan command
 
@@ -361,7 +374,7 @@ def test_scan_missing_spec_file(run, tmp_path):
 )
 def test_scan_rejects_bad_settings_before_sweeping(run, tmp_path, monkeypatch, text, lineno):
     def sweep(instance):
-        raise AssertionError(f"swept {instance.name} from a spec with a bad setting")
+        raise AssertionError(f"swept {instance.rules.name} from a spec with a bad setting")
 
     monkeypatch.setattr(periods, "scan_instance", sweep)
     spec = tmp_path / "bad.scan"
@@ -370,6 +383,21 @@ def test_scan_rejects_bad_settings_before_sweeping(run, tmp_path, monkeypatch, t
     assert (code, out) == (2, "")
     assert err.startswith(f"error: scan spec line {lineno}: ")
     assert err.count("\n") == 1
+
+
+def test_scan_refuses_a_fixed_heap_spelled_off_its_name(run, tmp_path, monkeypatch):
+    """``sub54`` names no ruleset, so the spec line that uses it fails
+    before any instance is swept."""
+
+    def sweep(instance):
+        raise AssertionError(f"swept {instance.rules.name} from a spec with a bad fixed heap")
+
+    monkeypatch.setattr(periods, "scan_instance", sweep)
+    spec = tmp_path / "alias.scan"
+    spec.write_text("instance: sub:1\ninstance: o26 fixed=3@sub54\n", encoding="utf-8")
+    assert run("scan", "--spec", str(spec)) == (
+        2, "", "error: scan spec line 2: fixed position references unknown ruleset 'sub54'\n",
+    )
 
 
 def test_scan_keeps_amounts_above_nine_apart(run, tmp_path):

@@ -139,6 +139,19 @@ def test_rules_from_name_round_trips_generated_names():
     assert rules_from_name("mystery") is None
 
 
+# spellings that would rebuild a ruleset under another name: sub45, sub45, sub45, sub-10, nim9
+ALIASES = ["sub54", "sub-4-5", "sub445", "sub-010", "nim09"]
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+def test_other_spellings_name_no_ruleset(alias):
+    """A name names one ruleset: a spelling that would rebuild a ruleset
+    under another name is not a name, so it cannot be resolved."""
+    assert rules_from_name(alias) is None
+    with pytest.raises(RulesError, match=f"cannot resolve rules reference '{alias}'"):
+        resolve_rules_ref(alias)
+
+
 def test_generated_names_are_distinct_and_rebuild_their_rules():
     """A subtraction set names itself by its amounts, run together while
     all are below 10 and dashed otherwise, so no two sets share a name;
@@ -248,13 +261,12 @@ def test_position_copies_rebuild_their_hash():
 
 
 def test_no_moves_from_empty_or_small_heaps():
-    rules = {SUB45.name: SUB45}
-    assert legal_moves(Position(), rules) == []
-    assert legal_moves(heap(3), rules) == []
+    assert legal_moves(Position(), SUB45) == []
+    assert legal_moves(heap(3), SUB45) == []
 
 
 def test_sub45_moves_from_13():
-    moves = legal_moves(heap(13), {SUB45.name: SUB45})
+    moves = legal_moves(heap(13), SUB45)
     assert [(m.points, render_position(m.next)) for m in moves] == [
         (4, "9@sub45"),
         (5, "8@sub45"),
@@ -263,7 +275,7 @@ def test_sub45_moves_from_13():
 
 def test_splitting_moves_unordered_and_merged():
     o26 = OctalRules("o26", (2, 6), (1, 2))
-    moves = legal_moves(Position((("o26", 5),)), {"o26": o26})
+    moves = legal_moves(Position((("o26", 5),)), o26)
     assert [(m.points, render_position(m.next)) for m in moves] == [
         (1, "4@o26"),
         (2, "1@o26,2@o26"),
@@ -272,13 +284,29 @@ def test_splitting_moves_unordered_and_merged():
 
 
 def test_equal_heaps_yield_one_move():
-    moves = legal_moves(Position((("sub45", 4), ("sub45", 4))), {SUB45.name: SUB45})
+    moves = legal_moves(Position((("sub45", 4), ("sub45", 4))), SUB45)
     assert [(m.points, render_position(m.next)) for m in moves] == [(4, "4@sub45")]
 
 
 def test_unknown_ruleset_in_position_raises():
     with pytest.raises(UnknownRulesetError):
-        legal_moves(Position((("nope", 4),)), {SUB45.name: SUB45})
+        legal_moves(Position((("nope", 4),)), SUB45)
+
+
+def test_legal_moves_takes_records_not_name_maps():
+    position = Position((("o26", 3), ("sub45", 5)))
+    o26 = rules_from_name("o26")
+    moves = legal_moves(position, [SUB45, o26])
+    assert moves == legal_moves(position, (rules for rules in (o26, SUB45)))
+    assert [(m.points, render_position(m.next)) for m in moves] == [
+        (1, "2@o26,5@sub45"),
+        (2, "1@o26,5@sub45"),
+        (4, "3@o26,1@sub45"),
+        (5, "3@o26"),
+    ]
+    with pytest.raises(TypeError, match="expected OctalRules, got str"):
+        legal_moves(position, {"sub45": SUB45, "o26": o26})
+    assert GrundySolver(iter([SUB45, o26])).rules == {"sub45": SUB45, "o26": o26}
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +391,12 @@ def test_negative_budget_is_refused():
 
 
 def test_rules_map_key_must_match_name():
-    with pytest.raises(RulesError):
+    """The solver takes records, which carry their own names; a name map
+    is refused."""
+    with pytest.raises(TypeError, match="expected OctalRules, got str"):
         GrundySolver({"wrong": SUB45})
+    with pytest.raises(TypeError, match="expected OctalRules, got str"):
+        GrundySolver({SUB45.name: SUB45})
     with pytest.raises(RulesError):
         GrundySolver([])
 
@@ -544,7 +576,7 @@ TWO_THIRDS = OctalRules("b", (3, 6), (Fraction(2, 3), Fraction(0)))
 def test_scaled_solver_matches_fraction_reference(a, b, heaps):
     """Fractional, negative and zero awards, splitting digits, and two
     rulesets whose award denominators differ in one position."""
-    rules = {"a": a, "b": b}
+    rules = (a, b)
     position = Position(tuple(heaps))
     solver = GrundySolver(rules)
     reference = FractionReference(rules)
@@ -568,10 +600,11 @@ def ref_replace_heap(position, heap, parts):
 def ref_legal_moves(position, rules):
     """Move generation as it was written in Fraction points: a dict keyed
     on (points, heaps) merges equal moves, then a sort on that key."""
+    by_name = {ruleset.name: ruleset for ruleset in rules}
     found = {}
     for heap in set(position.heaps):
         ruleset_id, size = heap
-        ruleset = rules.get(ruleset_id)
+        ruleset = by_name.get(ruleset_id)
         if ruleset is None:
             raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
         for take in range(1, min(size, len(ruleset.digits)) + 1):
@@ -598,7 +631,7 @@ def test_move_generation_matches_reference(a, b, heaps):
     """``legal_moves`` and the solver's scaled moves agree with the
     reference, move for move and in the same order, at every position
     ``to_game`` reaches."""
-    rules = {"a": a, "b": b}
+    rules = (a, b)
     solver = GrundySolver(rules)
     solver.to_game(Position(tuple(heaps)))
     assert solver._moves
@@ -623,7 +656,7 @@ def test_heap_games_add_under_the_long_rule(a, b, pq):
     ``test_value_of_two_equal_heaps_is_zero`` is the matching example,
     two heaps of value 4 whose sum has value 0."""
     p, q = pq
-    solver = GrundySolver({"a": a, "b": b})
+    solver = GrundySolver((a, b))
     whole = solver.to_game(Position(tuple(p + q)))
     assert whole is add(solver.to_game(Position(tuple(p))), solver.to_game(Position(tuple(q))))
 
@@ -638,7 +671,7 @@ def test_scale_is_one_lcm_over_all_rulesets():
 @settings(max_examples=40, deadline=None)
 @given(rules_named("a"), rules_named("b"), two_ruleset_heaps, st.integers(0, 30))
 def test_budget_errors_match_fraction_reference(a, b, heaps, budget):
-    rules = {"a": a, "b": b}
+    rules = (a, b)
     position = Position(tuple(heaps))
     ask = lambda solver: solver.value(position)  # noqa: E731
     solver = GrundySolver(rules, budget=budget)
@@ -733,6 +766,12 @@ def test_iter_heap_multisets_small():
         (1, 1),
         (1, 1, 1),
     ]
+
+
+def test_iter_heap_multisets_refuses_a_negative_total():
+    with pytest.raises(ValueError, match="^max_total must be nonnegative$"):
+        iter_heap_multisets(-1)
+    assert list(iter_heap_multisets(0)) == [()]
 
 
 def test_iter_heap_multisets_counts_partitions():

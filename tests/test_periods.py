@@ -313,7 +313,7 @@ def test_parse_scan_spec_family():
     spec = parse_scan_spec(FAMILY_SPEC)
     assert spec.seed == 9
     assert len(spec.instances) == 7  # nonempty subsets of {1,2,3}
-    assert {inst.name for inst in spec.instances} == {
+    assert {inst.rules.name for inst in spec.instances} == {
         "sub1", "sub2", "sub3", "sub12", "sub13", "sub23", "sub123",
     }
     assert all(inst.max_n == 40 for inst in spec.instances)
@@ -322,8 +322,8 @@ def test_parse_scan_spec_family():
 
 def test_parse_scan_spec_names_every_subset_of_a_wide_family_apart():
     spec = parse_scan_spec("subtraction-family: 1-12\n")
-    assert len(spec.instances) == len({inst.name for inst in spec.instances}) == 4095
-    assert {"sub12", "sub-12", "sub-1-2-10"} <= {inst.name for inst in spec.instances}
+    assert len(spec.instances) == len({inst.rules.name for inst in spec.instances}) == 4095
+    assert {"sub12", "sub-12", "sub-1-2-10"} <= {inst.rules.name for inst in spec.instances}
 
 
 def test_parse_scan_spec_instance_settings():
@@ -332,7 +332,7 @@ def test_parse_scan_spec_instance_settings():
         "instance: sub45 fixed=3@sub45\n"
     )
     first, second = spec.instances
-    assert (first.name, first.max_n, first.min_window, first.budget) == ("o3333p2", 25, 2, None)
+    assert (first.rules.name, first.max_n, first.min_window, first.budget) == ("o3333p2", 25, 2, None)
     assert second.fixed == Position((("sub45", 3),))
     assert second.extra_rules == ()
     (inst,) = parse_scan_spec("budget: none\nmax-n: 30\nmin-window: 4\ninstance: sub45\n").instances
@@ -382,14 +382,14 @@ def test_parse_scan_spec_checks_instance_settings(text, lineno):
 
 
 def test_scan_instance_budget_may_be_zero():
-    assert ScanInstance("sub3", SUB3, budget=0).budget == 0
+    assert ScanInstance(SUB3, budget=0).budget == 0
     (inst,) = parse_scan_spec("budget: 0\ninstance: sub45\n").instances
     assert inst.budget == 0
 
 
 def test_scan_instance_accepts_the_tightest_window():
-    assert ScanInstance("sub3", SUB3, max_n=0, min_window=1).max_n == 0
-    assert ScanInstance("sub3", SUB3, max_n=5, min_window=6).min_window == 6
+    assert ScanInstance(SUB3, max_n=0, min_window=1).max_n == 0
+    assert ScanInstance(SUB3, max_n=5, min_window=6).min_window == 6
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def test_scan_instance_accepts_the_tightest_window():
 
 
 def test_scan_instance_certified_row():
-    row = scan_instance(ScanInstance("sub45", rules_from_name("sub45"), max_n=60))
+    row = scan_instance(ScanInstance(rules_from_name("sub45"), max_n=60))
     assert row.status == "ok"
     assert (row.preperiod, row.period) == (27, 10)
     assert row.certified and row.certified_from == 27
@@ -408,7 +408,7 @@ def test_scan_instance_certified_row():
 def test_scan_instance_certified_nondivisor_outside_hypothesis_not_flagged():
     """Points that differ from take sizes leave the divisor conjecture out of
     scope, so a certified non-divisor period must not raise the flag."""
-    row = scan_instance(ScanInstance("o3333p2", O3333P2, max_n=60))
+    row = scan_instance(ScanInstance(O3333P2, max_n=60))
     assert row.certified
     assert (row.conjectured_2k, row.divides_2k) == (8, False)
     assert not row.in_hypothesis
@@ -416,14 +416,14 @@ def test_scan_instance_certified_nondivisor_outside_hypothesis_not_flagged():
 
 
 def test_scan_instance_not_found_row():
-    row = scan_instance(ScanInstance("sub3", SUB3, max_n=10))
+    row = scan_instance(ScanInstance(SUB3, max_n=10))
     assert row.status == "not-found"
     assert row.preperiod is None and row.period is None
     assert not row.certified and not row.counterexample
 
 
 def test_scan_instance_budget_exceeded_row():
-    row = scan_instance(ScanInstance("sub3", SUB3, max_n=500, budget=5))
+    row = scan_instance(ScanInstance(SUB3, max_n=500, budget=5))
     assert row.status == "budget-exceeded"
     assert row.values_digest == ""
 
@@ -438,7 +438,7 @@ def test_scan_instance_hashes_each_sweep_once(monkeypatch):
     monkeypatch.setattr(periods, "sequence_digest", counting_digest)
     for max_n, status in [(60, "ok"), (10, "not-found")]:
         hashed.clear()
-        row = scan_instance(ScanInstance("sub3", SUB3, max_n=max_n))
+        row = scan_instance(ScanInstance(SUB3, max_n=max_n))
         assert row.status == status
         assert row.values_digest == sequence_digest(sweep(SUB3, max_n))
         assert hashed == [max_n + 1]
@@ -446,7 +446,7 @@ def test_scan_instance_hashes_each_sweep_once(monkeypatch):
 
 def test_scan_instance_fixed_base_stays_empirical():
     row = scan_instance(
-        ScanInstance("sub45", rules_from_name("sub45"), fixed=Position((("sub45", 4),)), max_n=60)
+        ScanInstance(rules_from_name("sub45"), fixed=Position((("sub45", 4),)), max_n=60)
     )
     assert row.status == "ok"
     assert not row.certified and row.certified_from is None
