@@ -142,14 +142,42 @@ def test_parse_tolerates_whitespace():
     assert parse_game(" { 4 | 3 | 2 } ") == parse_game("{4|3|2}")
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "{4|3}", "{4|3|2", "4|3|2}", "{4||3|2}", "{4|3|2}x", "{a|0|}", "{4,|0|}"],
-)
+PARSE_ERRORS = {
+    "": ("expected a score, found 'end of input'", 0),
+    "{4|3}": ("expected '|', found '}'", 4),
+    "{4|3|2": ("expected '}', found 'end of input'", 6),
+    "4|3|2}": ("unexpected trailing input", 1),
+    "{4||3|2}": ("expected a score, found '|'", 3),
+    "{4|3|2}x": ("unexpected trailing input", 7),
+    "{a|0|}": ("expected a score, found 'a'", 1),
+    "{4,|0|}": ("expected a score, found '|'", 3),
+    " { 4 | 3 } ": ("expected '|', found '}'", 9),
+    "{1 2|0|}": ("expected '|', found '2'", 3),
+    "{1|0|,}": ("expected a score, found ','", 5),
+    "{4|3|2}}": ("unexpected trailing input", 7),
+    "{1|2/0|}": ("score denominator must be positive", 3),
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_errors_carry_position(bad):
+    message, position = PARSE_ERRORS[bad]
     with pytest.raises(NotationError) as info:
         parse_game(bad)
-    assert info.value.position is not None
+    assert str(info.value) == f"{message} (at character {position})"
+    assert info.value.position == position
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="{}|,0123456789+-/. \t\nx", max_size=30))
+def test_parse_game_returns_a_game_or_raises_notation_error(text):
+    """Any text parses to a game that round-trips, or fails with a position."""
+    try:
+        g = parse_game(text)
+    except NotationError as error:
+        assert error.position is not None
+    else:
+        assert parse_game(render_game(g)) is g
 
 
 def test_number_is_number():
