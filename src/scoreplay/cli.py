@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from scoreplay.games import (
-    NotationError,
     final_scores,
     format_score,
     is_impartial,
@@ -27,7 +26,6 @@ from scoreplay.octal import (
     GrundySolver,
     OctalRules,
     Position,
-    RulesError,
     _normalize_rules,
     iter_heap_multisets,
     legal_moves,
@@ -57,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (NotationError, RulesError, BudgetExceededError, ExpansionLimitError, ValueError, OSError) as exc:
+    except (BudgetExceededError, ExpansionLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

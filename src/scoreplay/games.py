@@ -51,25 +51,27 @@ def as_score(value: int | str | Fraction) -> Score:
 
 
 _SCORE_TOKEN = r"[+-]?\d+(?:\.\d+|/\d+)?"
-_SCORE_RE = re.compile(_SCORE_TOKEN)
-_FULL_SCORE_RE = re.compile(rf"\s*({_SCORE_TOKEN})\s*$")
+# After optional whitespace: a score literal (group 2), or else the one
+# character there, which is empty at the end of the text.
+_TOKEN_RE = re.compile(rf"\s*(({_SCORE_TOKEN})|.?)", re.S)
 
 
 def parse_score(text: str) -> Score:
     """Parse ``12``, ``-7/3``, or ``2.25`` (decimals convert exactly)."""
-    match = _FULL_SCORE_RE.match(text)
-    if match is None:
+    token = _TOKEN_RE.match(text)
+    if token[2] is None or _TOKEN_RE.match(text, token.end())[1]:
         raise NotationError(f"not a rational score literal: {text!r}")
-    return _score_from_token(match.group(1), 0)
+    return _score_from_token(token[2], 0)
 
 
 def _score_from_token(token: str, position: int) -> Score:
-    if "/" in token:
-        num, _, den = token.partition("/")
-        if int(den) == 0:
-            raise NotationError("score denominator must be positive", position)
-        return Fraction(int(num), int(den))
-    return Fraction(token)
+    num, slash, den = token.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if slash else Fraction(token)
+    except ZeroDivisionError:
+        raise NotationError("score denominator must be positive", position) from None
+    except ValueError:  # a part has more digits than int() converts
+        raise NotationError("score literal has too many digits", position) from None
 
 
 def format_score(value: Score) -> str:
@@ -382,79 +384,55 @@ def generate_impartial(max_depth: int, max_branch: int, score_bound=4, seed: int
 
 def parse_game(text: str) -> Game:
     """Parse ``{options|score|options}`` notation; a bare score is a leaf game."""
-    parser = _Parser(text)
-    game = parser.parse_game()
-    parser.expect_end()
+    tokens = _TOKEN_RE.finditer(text)
+    token = next(tokens)
+
+    def take(wanted: str | None = None) -> Score | None:
+        """Consume the current token: the character ``wanted``, or else a score."""
+        nonlocal token
+        current, at = token, token.start(1)
+        if (current[2] is None) if wanted is None else (current[1] != wanted):
+            expected = "a score" if wanted is None else repr(wanted)
+            found = current[1][:1] or "end of input"
+            raise NotationError(f"expected {expected}, found {found!r}", at)
+        token = next(tokens)
+        return _score_from_token(current[2], at) if wanted is None else None
+
+    # One frame per open brace: [score, left options] until the left
+    # options end, then [score, left options, right options].
+    frames: list[list] = []
+    while True:
+        if token[1] == "{":
+            take("{")
+            frames.append([None, []])
+            game = None  # an option list starts
+        else:
+            game = Game(take())
+        while frames:  # close every list and brace that this completes
+            frame = frames[-1]
+            if game is None:
+                if token[1] not in ("|", "}"):
+                    break  # read the list's first option
+            else:
+                frame[-1].append(game)
+                if token[1] == ",":
+                    take(",")
+                    break  # read the next option
+            if len(frame) == 2:
+                take("|")
+                frame[0] = take()
+                take("|")
+                frame.append([])
+                game = None
+                continue
+            take("}")
+            frames.pop()
+            game = Game(*frame)
+        else:
+            break
+    if token[1]:
+        raise NotationError("unexpected trailing input", token.start(1))
     return game
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        text = self.text
-        while self.pos < len(text) and text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_game(self) -> Game:
-        # One frame per open brace: [score, left options] until the left
-        # options end, then [score, left options, right options].
-        frames: list[list] = []
-        while True:
-            if self.peek() == "{":
-                self.pos += 1
-                frames.append([None, []])
-                game = None  # an option list starts
-            else:
-                game = Game(self.parse_score_literal())
-            while frames:  # close every list and brace that this completes
-                frame = frames[-1]
-                if game is None:
-                    if self.peek() not in ("|", "}"):
-                        break  # read the list's first option
-                else:
-                    frame[-1].append(game)
-                    if self.peek() == ",":
-                        self.pos += 1
-                        break  # read the next option
-                if len(frame) == 2:
-                    self.expect("|")
-                    frame[0] = self.parse_score_literal()
-                    self.expect("|")
-                    frame.append([])
-                    game = None
-                    continue
-                self.expect("}")
-                frames.pop()
-                game = Game(*frame)
-            else:
-                return game
-
-    def parse_score_literal(self) -> Score:
-        self._skip_ws()
-        match = _SCORE_RE.match(self.text, self.pos)
-        if match is None:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise NotationError(f"expected a score, found {found!r}", self.pos)
-        self.pos = match.end()
-        return _score_from_token(match.group(), match.start())
-
-    def expect(self, wanted: str) -> None:
-        if self.peek() != wanted:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise NotationError(f"expected {wanted!r}, found {found!r}", self.pos)
-        self.pos += 1
-
-    def expect_end(self) -> None:
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise NotationError("unexpected trailing input", self.pos)
 
 
 MAX_RENDER_CHARS = 2**24

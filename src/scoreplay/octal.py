@@ -338,8 +338,9 @@ class GrundySolver:
     position left behind; positions without moves are worth zero.  One memo
     table serves every query, so sweeps share work.  The ``budget`` is
     cumulative per solver, not per query: it caps the memo and the sweep
-    tables together.  None means no cap; a negative budget is refused.  Not thread-safe: give each worker its own solver (values do
-    not depend on evaluation order).
+    tables together.  None means no cap; a negative budget is refused.
+    Not thread-safe: give each worker its own solver (values do not depend
+    on evaluation order).
 
     The solver computes in ints: every award, value and running score is
     kept multiplied by ``scale``, the LCM of the award denominators over all

@@ -22,7 +22,6 @@ from scoreplay.octal import (
     OctalRules,
     Position,
     parse_position,
-    render_position,
     resolve_rules_ref,
     rules_from_name,
     subtraction_rules,

@@ -23,6 +23,9 @@ from scoreplay.octal import OctalRules
 # about 750 levels on 3.12.1 and about 5,000 on 3.13.0.
 ALIKE_TOO_DEEP = 500 if sys.version_info < (3, 12) else 10_000
 
+# int() refuses a decimal string longer than this many digits; 0 means no limit.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 def naive_final_scores(game: Game, memo: dict | None = None) -> tuple[Fraction, Fraction]:
     """(Left-first, Right-first) final scores by direct recursion."""

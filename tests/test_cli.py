@@ -11,7 +11,7 @@ from scoreplay import periods
 from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS
 from scoreplay.octal import GrundySolver
-from support import ALIKE_TOO_DEEP
+from support import ALIKE_TOO_DEEP, INT_DIGIT_LIMIT
 
 
 @pytest.fixture
@@ -128,6 +128,13 @@ def test_eval_of_siblings_alike_too_deep_fails_with_a_typed_error(run):
     code, out, err = run("eval", "--game", "{" + chain("1") + "," + chain("0") + "|0|}")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: sibling options agree too many levels deep to be ordered"]
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="int() converts any number of digits")
+def test_eval_of_an_over_long_score_literal_names_its_position(run):
+    code, out, err = run("eval", "--game", "{" + "1" * (INT_DIGIT_LIMIT + 1) + "|0|}")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: score literal has too many digits (at character 1)"]
 
 
 def test_sum_needs_exactly_two_games(run):

@@ -45,7 +45,7 @@ from scoreplay.games import (
     render_tree,
     translate,
 )
-from support import ALIKE_TOO_DEEP, games, naive_final_scores, scores
+from support import ALIKE_TOO_DEEP, INT_DIGIT_LIMIT, games, naive_final_scores, scores
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,18 @@ def test_parse_errors_carry_position(bad):
         parse_game(bad)
     assert str(info.value) == f"{message} (at character {position})"
     assert info.value.position == position
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="int() converts any number of digits")
+def test_over_long_score_literal_is_a_notation_error():
+    digits = "1" * (INT_DIGIT_LIMIT + 1)
+    with pytest.raises(NotationError) as info:
+        parse_game("{" + digits + "|0|}")
+    assert str(info.value) == "score literal has too many digits (at character 1)"
+    assert info.value.position == 1
+    for text in [digits, f"1/{digits}", f" -0.{digits}"]:
+        with pytest.raises(NotationError, match=r"^score literal has too many digits \(at character 0\)$"):
+            parse_score(text)
 
 
 @settings(max_examples=300, deadline=None)
