@@ -223,7 +223,7 @@ def _cmd_period(args) -> int:
     if args.max_n >= 0:  # the sweep refuses a negative max_n
         _check_window(args.max_n + 1, args.min_window)
     varying, base, values, scale = _sweep_values(args)
-    if base.heaps:
+    if base:
         print("note: fixed base position, certification skipped", file=sys.stderr)
     report = detect_certified_period(varying, values, args.min_window, base)
     digest = sequence_digest(values, scale)
@@ -235,7 +235,7 @@ def _cmd_period(args) -> int:
         cert_from = f" certified_from={certified_start(varying, report)}"
     elif varying.splits_heaps:
         print("note: rules can split heaps, report stays empirical", file=sys.stderr)
-    elif not base.heaps:
+    elif not base:
         print("note: no candidate period certifies within this sweep", file=sys.stderr)
     print(
         f"preperiod={report.preperiod} period={report.period} "
@@ -246,7 +246,10 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    amounts = [int(tok) for tok in args.set.replace(",", " ").split()]
+    try:
+        amounts = [int(tok) for tok in args.set.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"bad subtraction amounts in --set {args.set!r}") from None
     report = check_lemma(amounts, args.imax)
     joined = ",".join(map(str, report.subtraction_set))
     print(f"set={{{joined}}} k={report.k} imax={report.i_max}")
@@ -284,7 +287,7 @@ def _cmd_oracle(args) -> int:
         checked = 0
         bad = 0
         for heaps in iter_heap_multisets(args.max_total):
-            position = Position(tuple((name, size) for size in heaps))
+            position = Position((name, size) for size in heaps)
             value = solver.value(position)
             scores = final_scores(solver.to_game(position, max_total=args.max_total), cache)
             if not (value == scores.sl == -scores.sr):

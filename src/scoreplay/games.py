@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import threading
 import weakref
 from enum import Enum
@@ -31,6 +32,10 @@ class NotationError(ValueError):
             message = f"{message} (at character {position})"
         super().__init__(message)
         self.position = position
+
+
+class RenderSizeError(ValueError):
+    """A score, or a game's notation or tree, is too long to render."""
 
 
 def as_score(value: int | str | Fraction) -> Score:
@@ -75,10 +80,18 @@ def _score_from_token(token: str, position: int) -> Score:
 
 
 def format_score(value: Score) -> str:
-    """Integers bare, other rationals as ``num/den``; never decimal."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Integers bare, other rationals as ``num/den``; never decimal.
+
+    Raises :class:`RenderSizeError` when a part has more digits than
+    ``str(int)`` converts (``sys.get_int_max_str_digits()``).
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # the interpreter's digit limit; kept as the cause
+        limit = sys.get_int_max_str_digits()
+        raise RenderSizeError(f"score has more than {limit} digits, the limit for int to str conversion") from exc
 
 
 class Game:
@@ -153,12 +166,19 @@ class Game:
     def __repr__(self):
         try:
             return f"Game({render_game(self)!r})"
-        except RenderSizeError:
+        except RenderSizeError as exc:
             # a bounded summary, so logging and debuggers can still show the game
-            return (
-                f"<Game score={format_score(self.score)} left={len(self.left)} "
-                f"right={len(self.right)}: notation over {MAX_RENDER_CHARS} characters>"
-            )
+            def part(n: int) -> str:
+                try:
+                    return str(n)
+                except ValueError:  # more digits than str() converts
+                    return f"{'-' * (n < 0)}<{n.bit_length()}-bit int>"
+
+            num, den = self.score.numerator, self.score.denominator
+            score = part(num) if den == 1 else f"{part(num)}/{part(den)}"
+            # format_score's error keeps the interpreter's as its cause
+            why = exc if exc.__cause__ else f"notation over {MAX_RENDER_CHARS} characters"
+            return f"<Game score={score} left={len(self.left)} right={len(self.right)}: {why}>"
 
 
 # (numerator, denominator, left, right) -> the live node.  The lock makes
@@ -439,10 +459,6 @@ MAX_RENDER_CHARS = 2**24
 # An indented tree writes each line's depth out as spaces, so a chain d deep
 # takes about 2 * d**2 characters: 50,050,001 at d = 5,000.
 MAX_TREE_CHARS = 2**26
-
-
-class RenderSizeError(ValueError):
-    """A game's notation or tree would be longer than its character bound."""
 
 
 def render_game(game: Game) -> str:

@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -205,16 +206,12 @@ def resolve_rules_ref(ref: str) -> OctalRules:
     raise RulesError(f"cannot resolve rules reference {ref!r}")
 
 
-class _Heaps(NamedTuple):
-    heaps: tuple[tuple[str, int], ...] = ()
-
-
-class Position(_Heaps):
-    """A multiset of heaps as ``(ruleset id, size)`` pairs, canonically sorted.
+class Position(tuple):
+    """A multiset of heaps: the sorted tuple of its ``(ruleset id, size)`` pairs.
 
     Zero-size heaps are dropped, so equal multisets always compare equal.
-    Heaps under different rulesets may share one position.  A named tuple:
-    positions hash and compare as ``(heaps,)``, and only the constructor
+    Heaps under different rulesets may share one position.  A position
+    hashes and compares as its heap tuple, and only the constructor
     canonicalizes.
     """
 
@@ -228,14 +225,17 @@ class Position(_Heaps):
                 raise ValueError(f"heap size cannot be negative: {size}")
             if size:
                 cleaned.append((str(ruleset), size))
-        return super().__new__(cls, tuple(sorted(cleaned)))
+        return super().__new__(cls, sorted(cleaned))
+
+    def __repr__(self) -> str:
+        return f"Position({tuple(self)!r})"
 
     @property
     def total(self) -> int:
-        return sum(size for _, size in self.heaps)
+        return sum(size for _, size in self)
 
     def add_heap(self, ruleset: str, size: int) -> Position:
-        return Position(self.heaps + ((ruleset, size),))
+        return Position(self + ((ruleset, size),))
 
 
 def parse_position(text: str, known: Collection[str] | None = None) -> Position:
@@ -248,26 +248,32 @@ def parse_position(text: str, known: Collection[str] | None = None) -> Position:
     if stripped in ("", "-"):
         return Position()
     heaps = []
-    for term in stripped.split(","):
+    for index, term in enumerate(stripped.split(","), start=1):
         term = term.strip()
         match = re.fullmatch(r"(\d+)\s*@\s*(\S+)", term)
         if match:
-            size, name = int(match.group(1)), match.group(2)
-        elif term.isdigit() and known is not None and len(known) == 1:
-            size, name = int(term), next(iter(known))
+            digits, name = match.groups()
+        elif re.fullmatch(r"\d+", term) and known is not None and len(known) == 1:
+            digits, name = term, next(iter(known))
         else:
             raise ValueError(f"bad heap term {term!r}; expected size@ruleset")
+        try:
+            size = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise ValueError(
+                f"size of heap term {index} has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
         if known is not None and name not in known:
             raise UnknownRulesetError(f"position references unknown ruleset {name!r}")
         heaps.append((name, size))
-    return Position(tuple(heaps))
+    return Position(heaps)
 
 
 def render_position(position: Position) -> str:
     """Canonical literal for a position; the empty position renders as ``-``."""
-    if not position.heaps:
+    if not position:
         return "-"
-    return ",".join(f"{size}@{name}" for name, size in position.heaps)
+    return ",".join(f"{size}@{name}" for name, size in position)
 
 
 class MoveOutcome(NamedTuple):
@@ -283,28 +289,30 @@ def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Map
     ``awards[name][k-1]`` is the award for removing k beans from a heap of
     ruleset ``name``, in whatever units the caller counts points.  The
     heaps are canonical already, so each next position is sorted here and
-    wrapped once, without the constructor's checks.
+    built once, without the constructor's checks.  Anything but a
+    :class:`Position` is refused: a plain tuple may not be canonical.
     """
-    heaps = position.heaps
+    if not isinstance(position, Position):
+        raise TypeError(f"expected a Position, got {type(position).__name__}")
+    make = tuple.__new__
     found = set()
-    for index, (ruleset_id, size) in enumerate(heaps):
-        if index and heaps[index - 1] == (ruleset_id, size):
+    for index, (ruleset_id, size) in enumerate(position):
+        if index and position[index - 1] == (ruleset_id, size):
             continue  # an equal heap has the same moves
         ruleset = rules.get(ruleset_id)
         if ruleset is None:
             raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
-        others = heaps[:index] + heaps[index + 1 :]
+        others = position[:index] + position[index + 1 :]
         for take, (digit, award) in enumerate(zip(ruleset.digits[:size], awards[ruleset_id]), start=1):
             rest = size - take
             if digit & 1 and rest == 0:
-                found.add((award, others))
+                found.add((award, make(Position, others)))
             if digit & 2 and rest:
-                found.add((award, tuple(sorted(others + ((ruleset_id, rest),)))))
+                found.add((award, make(Position, sorted(others + ((ruleset_id, rest),)))))
             if digit & 4:
                 for small in range(1, rest // 2 + 1):
-                    found.add((award, tuple(sorted(others + ((ruleset_id, small), (ruleset_id, rest - small))))))
-    make = Position._make
-    return [(award, make((heaps,))) for award, heaps in sorted(found)]
+                    found.add((award, make(Position, sorted(others + ((ruleset_id, small), (ruleset_id, rest - small))))))
+    return sorted(found)
 
 
 def legal_moves(position: Position, rules: OctalRules | Iterable[OctalRules]) -> list[MoveOutcome]:
@@ -445,7 +453,7 @@ class GrundySolver:
             raise ValueError("max_n must be nonnegative")
         var = self._resolve_var(var)
         rules = self.rules[var]
-        if base.heaps or rules.splits_heaps:
+        if base or rules.splits_heaps:
             return [self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1)]
         return self._single_heap_table(rules, max_n)[: max_n + 1]
 

@@ -176,7 +176,7 @@ def detect_certified_period(
     directly: the proof needs an empty base and no splits.  ``values`` are
     as for :func:`detect_period`.
     """
-    if base.heaps or rules.splits_heaps:
+    if base or rules.splits_heaps:
         return detect_period(values, min_window)
     first: PeriodReport | None = None
     for candidate in _period_candidates(values, min_window):
@@ -435,7 +435,7 @@ def _parse_instance_line(value: str, defaults: dict[str, int | None]) -> ScanIns
             raise ValueError(f"unknown instance setting {key!r}")
     fixed = parse_position(fixed_literal)
     extra = []
-    for name in sorted({heap_rules for heap_rules, _ in fixed.heaps}):
+    for name in sorted({heap_rules for heap_rules, _ in fixed}):
         if name == rules.name:
             continue
         rebuilt = rules_from_name(name)

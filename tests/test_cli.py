@@ -137,6 +137,16 @@ def test_eval_of_an_over_long_score_literal_names_its_position(run):
     assert err.splitlines() == ["error: score literal has too many digits (at character 1)"]
 
 
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="str() converts any number of digits")
+def test_sum_too_long_to_print_names_the_digit_limit(run):
+    nines = "9" * INT_DIGIT_LIMIT  # each game reads, but their sum has one digit more
+    code, out, err = run("sum", "--game", nines, "--game", nines)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: score has more than {INT_DIGIT_LIMIT} digits, the limit for int to str conversion"
+    ]
+
+
 def test_sum_needs_exactly_two_games(run):
     code, _, err = run("sum", "--game", "2")
     assert code == 2
@@ -184,6 +194,22 @@ def test_gs_refuses_another_spelling_of_a_name(run):
     code, out, err = run("gs", "--rules", "sub54", "--position", "3@sub54")
     assert (code, out) == (2, "")
     assert err == "error: cannot resolve rules reference 'sub54'\n"
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="int() converts any number of digits")
+@pytest.mark.parametrize(
+    "argv, term",
+    [
+        (["gs", "--rules", "sub45", "--position", "HUGE@sub45"], 1),
+        (["table", "--rules", "sub45", "--max-n", "3", "--fixed", "3@sub45, HUGE@sub45"], 2),
+    ],
+    ids=["gs", "table-fixed"],
+)
+def test_heap_size_with_too_many_digits_names_its_term(run, argv, term):
+    huge = "1" * (INT_DIGIT_LIMIT + 1)
+    code, out, err = run(*(arg.replace("HUGE", huge) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: size of heap term {term} has more than {INT_DIGIT_LIMIT} digits"]
 
 
 def test_table_csv_is_exact(run):
@@ -293,6 +319,12 @@ def test_lemma_pass(run):
     assert code == 0
     assert out.splitlines()[0] == "set={4,5} k=5 imax=5"
     assert out.splitlines()[-1] == "status=pass"
+
+
+def test_lemma_refuses_a_bad_amount(run):
+    code, out, err = run("lemma", "--set", "4,x")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: bad subtraction amounts in --set '4,x'"]
 
 
 FRACTIONAL = "name: frac; digits: 1 7 6; points: 1/2 -2/3 3/4"

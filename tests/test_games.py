@@ -180,6 +180,23 @@ def test_over_long_score_literal_is_a_notation_error():
             parse_score(text)
 
 
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="str() converts any number of digits")
+def test_a_score_too_long_for_str_is_a_render_size_error():
+    huge = 10**INT_DIGIT_LIMIT  # one digit more than str() converts
+    limit = f"score has more than {INT_DIGIT_LIMIT} digits"
+    for game in [Game(huge), Game(Fraction(1, huge)), Game(0, [Game(-huge)])]:
+        with pytest.raises(RenderSizeError, match=limit):
+            render_game(game)
+        with pytest.raises(RenderSizeError, match=limit):
+            render_tree(game)
+    bits = huge.bit_length()
+    assert repr(Game(huge)) == (
+        f"<Game score=<{bits}-bit int> left=0 right=0: {limit}, the limit for int to str conversion>"
+    )
+    assert repr(Game(Fraction(-huge, 3))).startswith(f"<Game score=-<{bits}-bit int>/3 left=0 right=0: {limit}")
+    assert repr(Game(1, [Game(huge)])).startswith(f"<Game score=1 left=1 right=0: {limit}")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="{}|,0123456789+-/. \t\nx", max_size=30))
 def test_parse_game_returns_a_game_or_raises_notation_error(text):

@@ -203,7 +203,7 @@ def test_position_normalizes_to_sorted_multiset():
     a = Position((("sub45", 3), ("sub45", 9), ("o26", 2)))
     b = Position((("sub45", 9), ("o26", 2), ("sub45", 3)))
     assert a == b
-    assert a.heaps == (("o26", 2), ("sub45", 3), ("sub45", 9))
+    assert a == (("o26", 2), ("sub45", 3), ("sub45", 9))
     assert a.total == 14
 
 
@@ -246,7 +246,7 @@ def test_position_copies_rebuild_their_hash():
         "import pickle, sys\n"
         "from scoreplay.octal import Position\n"
         "p = pickle.loads(sys.stdin.buffer.read())\n"
-        "assert hash(p) == hash(Position(p.heaps)), 'stale hash'\n"
+        "assert hash(p) == hash(Position(p)), 'stale hash'\n"
     )
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(octal.__file__).parents[1])}
@@ -254,6 +254,46 @@ def test_position_copies_rebuild_their_hash():
             [sys.executable, "-c", check], input=pickle.dumps(position), env=env, capture_output=True
         )
         assert result.returncode == 0, result.stderr.decode()
+
+
+def test_position_is_its_sorted_heap_tuple():
+    heaps = (("o26", 2), ("sub45", 3), ("sub45", 9))
+    position = Position(reversed(heaps))
+    assert position == heaps
+    assert hash(position) == hash(heaps)
+    assert repr(heap(9)) == "Position((('sub45', 9),))"
+    for original in [position, Position(), heap(13)]:
+        rebuilt = eval(repr(original), {"Position": Position})
+        assert rebuilt == original
+        assert type(rebuilt) is Position
+
+
+def test_position_copies_are_canonical_positions():
+    position = parse_position("3@sub45,5@o26")
+    copies = [copy.copy(position), copy.deepcopy(position)]
+    copies += [pickle.loads(pickle.dumps(position, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is Position
+        assert copied == position == (("o26", 5), ("sub45", 3))
+
+
+def test_moves_and_the_memo_hold_positions():
+    rules = (rules_from_name("o26"), SUB45)
+    position = Position((("o26", 7), ("sub45", 6)))
+    moves = legal_moves(position, rules) + GrundySolver(rules).best_moves(position)
+    assert moves
+    assert all(type(move.next) is Position for move in moves)
+    solver = GrundySolver(rules_from_name("o26"))
+    solver.value(Position((("o26", 40),)))
+    assert all(type(key) is Position for key in solver._values)
+
+
+@pytest.mark.parametrize("plain", [(("sub45", -1),), (("sub45", 9), ("sub45", 4))], ids=["negative", "unsorted"])
+def test_a_plain_heap_tuple_is_refused(plain):
+    """A plain tuple skips the constructor's checks, so no entry point expands it."""
+    for expand in [GrundySolver(SUB45).value, GrundySolver(SUB45).best_moves, lambda p: legal_moves(p, SUB45)]:
+        with pytest.raises(TypeError, match="^expected a Position, got tuple$"):
+            expand(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +631,7 @@ def test_scaled_solver_matches_fraction_reference(a, b, heaps):
 
 
 def ref_replace_heap(position, heap, parts):
-    heaps = list(position.heaps)
+    heaps = list(position)
     heaps.remove(heap)
     heaps.extend((heap[0], part) for part in parts)
     return Position(tuple(heaps))
@@ -602,7 +642,7 @@ def ref_legal_moves(position, rules):
     on (points, heaps) merges equal moves, then a sort on that key."""
     by_name = {ruleset.name: ruleset for ruleset in rules}
     found = {}
-    for heap in set(position.heaps):
+    for heap in set(position):
         ruleset_id, size = heap
         ruleset = by_name.get(ruleset_id)
         if ruleset is None:
@@ -620,7 +660,7 @@ def ref_legal_moves(position, rules):
                 parts.extend((small, rest - small) for small in range(1, rest // 2 + 1))
             for split in parts:
                 move = MoveOutcome(award, ref_replace_heap(position, heap, split))
-                found[move.points, move.next.heaps] = move
+                found[move.points, move.next] = move
     return [found[key] for key in sorted(found)]
 
 
