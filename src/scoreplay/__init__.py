@@ -6,126 +6,11 @@ eventual-period analysis with evidence scans (:mod:`scoreplay.periods`).
 The ``scoreplay`` command exposes all of it from the shell.
 """
 
-from scoreplay.games import (
-    FinalScores,
-    Game,
-    NotationError,
-    Outcome,
-    Score,
-    add,
-    as_score,
-    final_scores,
-    format_score,
-    game_order,
-    generate_impartial,
-    identity_game,
-    is_impartial,
-    negate,
-    number,
-    outcome,
-    parse_game,
-    parse_score,
-    reflect,
-    render_game,
-    render_tree,
-    translate,
-)
-from scoreplay.octal import (
-    BudgetExceededError,
-    ExpansionLimitError,
-    GrundySolver,
-    MoveOutcome,
-    OctalRules,
-    PRESETS,
-    Position,
-    RulesError,
-    UnknownRulesetError,
-    iter_heap_multisets,
-    legal_moves,
-    parse_position,
-    parse_rules_document,
-    render_position,
-    resolve_rules_ref,
-    rules_from_name,
-    standard_nim,
-    subtraction_rules,
-)
-from scoreplay.periods import (
-    LemmaReport,
-    PeriodReport,
-    ScanInstance,
-    ScanReport,
-    ScanRow,
-    ScanSpec,
-    certified_start,
-    certify_period,
-    check_lemma,
-    detect_certified_period,
-    detect_period,
-    parse_scan_spec,
-    run_scan,
-    scan_instance,
-    sequence_digest,
-    verify_period,
-)
+from scoreplay import games, octal, periods
+from scoreplay.games import *
+from scoreplay.octal import *
+from scoreplay.periods import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "ExpansionLimitError",
-    "FinalScores",
-    "Game",
-    "GrundySolver",
-    "LemmaReport",
-    "MoveOutcome",
-    "NotationError",
-    "OctalRules",
-    "Outcome",
-    "PRESETS",
-    "PeriodReport",
-    "Position",
-    "RulesError",
-    "ScanInstance",
-    "ScanReport",
-    "ScanRow",
-    "ScanSpec",
-    "Score",
-    "UnknownRulesetError",
-    "add",
-    "as_score",
-    "certified_start",
-    "certify_period",
-    "check_lemma",
-    "detect_certified_period",
-    "detect_period",
-    "final_scores",
-    "format_score",
-    "game_order",
-    "generate_impartial",
-    "identity_game",
-    "is_impartial",
-    "iter_heap_multisets",
-    "legal_moves",
-    "negate",
-    "number",
-    "outcome",
-    "parse_game",
-    "parse_position",
-    "parse_rules_document",
-    "parse_scan_spec",
-    "parse_score",
-    "reflect",
-    "render_game",
-    "render_position",
-    "render_tree",
-    "resolve_rules_ref",
-    "rules_from_name",
-    "run_scan",
-    "scan_instance",
-    "sequence_digest",
-    "standard_nim",
-    "subtraction_rules",
-    "translate",
-    "verify_period",
-]
+__all__ = [*games.__all__, *octal.__all__, *periods.__all__]

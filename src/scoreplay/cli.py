@@ -34,6 +34,7 @@ from scoreplay.octal import (
     resolve_rules_ref,
 )
 from scoreplay.periods import (
+    ScanInstance,
     _bool,
     _check_window,
     certified_start,
@@ -103,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", action="append", required=True, metavar="REF",
                    help="rules file, preset or generated name, sub:/nim: shorthand, or inline document")
     p.add_argument("--position", required=True, help="comma-separated size@ruleset terms, '-' for empty")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.set_defaults(handler=_cmd_gs)
 
     p = sub.add_parser("table", help="CSV value table for a growing heap")
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")
     p.add_argument("--fixed", default="-", help="base position added to every entry")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.add_argument("--format", choices=("csv", "structured"), default="csv")
     p.set_defaults(handler=_cmd_table)
 
@@ -120,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")
     p.add_argument("--fixed", default="-", help="base position (certification needs an empty base)")
-    p.add_argument("--min-window", type=int, default=3)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--min-window", type=int, default=ScanInstance.min_window)
+    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.set_defaults(handler=_cmd_period)
 
     p = sub.add_parser("lemma", help="alternation identity for a take-s-score-s subtraction set")
@@ -137,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check evaluator values against expanded game trees")
     p.add_argument("--rules", action="append", required=True, metavar="REF")
     p.add_argument("--max-total", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.set_defaults(handler=_cmd_oracle)
 
     return parser

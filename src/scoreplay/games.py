@@ -9,6 +9,14 @@ when the mover has no option in any component.
 
 from __future__ import annotations
 
+__all__ = [
+    "Score", "NotationError", "RenderSizeError", "as_score", "parse_score", "format_score",
+    "Game", "game_order", "GameDepthError", "number", "reflect", "negate", "translate", "add",
+    "FinalScores", "final_scores", "Outcome", "outcome", "is_impartial", "identity_game",
+    "generate_impartial", "parse_game", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_game",
+    "render_tree",
+]
+
 import random
 import re
 import sys

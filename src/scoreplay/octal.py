@@ -9,13 +9,21 @@ with both players maximizing what they collect.
 
 from __future__ import annotations
 
+__all__ = [
+    "RulesError", "UnknownRulesetError", "BudgetExceededError", "ExpansionLimitError",
+    "OctalRules", "subtraction_rules", "standard_nim", "PRESETS", "parse_rules_document",
+    "rules_from_name", "resolve_rules_ref", "Position", "parse_position", "render_position",
+    "MoveOutcome", "legal_moves", "GrundySolver", "iter_heap_multisets",
+]
+
 import hashlib
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache, partial
 from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -90,15 +98,21 @@ class OctalRules:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
+_MAX_TAKE = 2**20  # largest removal a generated ruleset allows
+
+
 def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
     """Remove exactly s beans for s in the set; the mover scores s points.
 
     Named ``sub45`` while every amount is below 10, else ``sub-1-10``.
+    An amount above ``2**20`` is refused: the rules hold one digit per size.
     """
     cleaned = sorted(set(int(a) for a in amounts))
     if not cleaned or cleaned[0] < 1:
         raise RulesError(f"subtraction amounts must be positive integers: {cleaned}")
     top = cleaned[-1]
+    if top > _MAX_TAKE:
+        raise RulesError(f"subtraction amount {top} is above the limit {_MAX_TAKE}")
     joiner = "" if top <= 9 else "-"
     name = "sub" + "".join(joiner + str(a) for a in cleaned)
     digits = tuple(3 if k in cleaned else 0 for k in range(1, top + 1))
@@ -107,9 +121,11 @@ def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
 
 
 def standard_nim(max_take: int) -> OctalRules:
-    """Take any number of beans up to ``max_take``, one point per bean."""
+    """Take any number of beans up to ``max_take``, at most ``2**20``, one point per bean."""
     if max_take < 1:
         raise RulesError("max_take must be at least 1")
+    if max_take > _MAX_TAKE:
+        raise RulesError(f"max_take {max_take} is above the limit {_MAX_TAKE}")
     return OctalRules(
         f"nim{max_take}",
         tuple(3 for _ in range(max_take)),
@@ -136,7 +152,7 @@ def parse_rules_document(text: str) -> OctalRules:
     One ruleset per document; ``#`` starts a comment and ``;`` works as a
     line break so documents can be passed inline.
     """
-    fields: dict[str, str] = {}
+    entries: dict[str, str] = {}
     for raw in text.replace(";", "\n").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -145,21 +161,22 @@ def parse_rules_document(text: str) -> OctalRules:
         if not sep:
             raise RulesError(f"malformed rules line (expected 'key: value'): {raw.strip()!r}")
         key = key.strip().lower()
-        if key in fields:
+        if key in entries:
             raise RulesError(f"duplicate rules field {key!r}")
-        fields[key] = value.strip()
-    unknown = sorted(set(fields) - {"name", "digits", "points"})
+        entries[key] = value.strip()
+    keys = {field.name for field in fields(OctalRules)}
+    unknown = sorted(set(entries) - keys)
     if unknown:
         raise RulesError(f"unknown rules fields: {', '.join(unknown)}")
-    missing = sorted({"name", "digits", "points"} - set(fields))
+    missing = sorted(keys - set(entries))
     if missing:
         raise RulesError(f"missing rules fields: {', '.join(missing)}")
     try:
-        digits = tuple(int(tok) for tok in _tokens(fields["digits"]))
+        digits = tuple(int(tok) for tok in _tokens(entries["digits"]))
     except ValueError as exc:
         raise RulesError(f"bad digit in rules document: {exc}") from None
-    points = tuple(parse_score(tok) for tok in _tokens(fields["points"]))
-    return OctalRules(fields["name"], digits, points)
+    points = tuple(parse_score(tok) for tok in _tokens(entries["points"]))
+    return OctalRules(entries["name"], digits, points)
 
 
 def rules_from_name(name: str) -> OctalRules | None:
@@ -283,6 +300,11 @@ class MoveOutcome(NamedTuple):
     next: Position
 
 
+def _require_position(position) -> None:
+    if not isinstance(position, Position):
+        raise TypeError(f"expected a Position, got {type(position).__name__}")
+
+
 def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Mapping[str, Sequence]) -> list:
     """All distinct ``(award, next position)`` pairs from a position, sorted.
 
@@ -292,8 +314,7 @@ def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Map
     built once, without the constructor's checks.  Anything but a
     :class:`Position` is refused: a plain tuple may not be canonical.
     """
-    if not isinstance(position, Position):
-        raise TypeError(f"expected a Position, got {type(position).__name__}")
+    _require_position(position)
     make = tuple.__new__
     found = set()
     for index, (ruleset_id, size) in enumerate(position):
@@ -324,18 +345,6 @@ def legal_moves(position: Position, rules: OctalRules | Iterable[OctalRules]) ->
     rules = _normalize_rules(rules)
     points = {name: ruleset.points for name, ruleset in rules.items()}
     return [MoveOutcome(*move) for move in _next_moves(position, rules, points)]
-
-
-class _ScaledFractions(dict):
-    """Maps a scaled int ``x`` to ``Fraction(x, scale)``, built once per ``x``."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, scaled: int) -> Fraction:
-        got = self[scaled] = Fraction(scaled, self.scale)
-        return got
 
 
 class GrundySolver:
@@ -376,7 +385,8 @@ class GrundySolver:
         # to_game's expansion: each position's moves, and one node per running score
         self._moves: dict[Position, list[tuple[int, Position]]] = {}
         self._games: dict[tuple[Position, int], Game] = {}
-        self._as_fraction = _ScaledFractions(self.scale)
+        # a scaled int x as Fraction(x, scale), built once per x
+        self._as_fraction = cache(partial(Fraction, denominator=self.scale))
 
     @property
     def positions_evaluated(self) -> int:
@@ -388,11 +398,11 @@ class GrundySolver:
         self._tables.clear()
         self._moves.clear()
         self._games.clear()
-        self._as_fraction.clear()
+        self._as_fraction.cache_clear()
 
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
-        return self._as_fraction[self._scaled_value(position)]
+        return self._as_fraction(self._scaled_value(position))
 
     def _scaled_value(self, position: Position) -> int:
         values = self._values
@@ -406,10 +416,7 @@ class GrundySolver:
         def next_positions(pos: Position) -> list[Position]:
             moves = pending_moves[pos] = _next_moves(pos, rules, awards)
             if budget is not None and tabled + len(values) + len(pending_moves) > budget:
-                raise BudgetExceededError(
-                    f"position budget exceeded ({budget} positions) "
-                    f"evaluating {render_position(position)}"
-                )
+                raise self._budget_error(position)
             return [nxt for _, nxt in moves]
 
         for pos in _post_order(position, values, next_positions):
@@ -425,7 +432,7 @@ class GrundySolver:
         best = max(results)
         as_fraction = self._as_fraction
         return [
-            MoveOutcome(as_fraction[award], nxt)
+            MoveOutcome(as_fraction(award), nxt)
             for (award, nxt), result in zip(moves, results)
             if result == best
         ]
@@ -444,11 +451,11 @@ class GrundySolver:
         budget.  Every other sweep evaluates each entry with :meth:`value`.
         The values are the same either way.
         """
-        as_fraction = self._as_fraction
-        return [as_fraction[x] for x in self._scaled_sweep(max_n, var, base)]
+        return list(map(self._as_fraction, self._scaled_sweep(max_n, var, base)))
 
     def _scaled_sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[int]:
         """:meth:`sweep`'s values, each times ``scale``."""
+        _require_position(base)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         var = self._resolve_var(var)
@@ -482,11 +489,14 @@ class GrundySolver:
         else:  # no move leaves a heap, so these heaps have no move at all
             table.extend([0] * (stop - len(table)))
         if len(table) <= max_n:
-            raise BudgetExceededError(
-                f"position budget exceeded ({self.budget} positions) "
-                f"evaluating {render_position(Position(((rules.name, len(table)),)))}"
-            )
+            raise self._budget_error(Position(((rules.name, len(table)),)))
         return table
+
+    def _budget_error(self, position: Position) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"position budget exceeded ({self.budget} positions) "
+            f"evaluating {render_position(position)}"
+        )
 
     def to_game(self, position: Position, max_total: int = 16) -> Game:
         """Expand the full play tree as an explicit game, root score zero.
@@ -498,6 +508,7 @@ class GrundySolver:
         for all the running scores it is reached with.  ``max_total`` bounds
         the beans in play.
         """
+        _require_position(position)
         if position.total > max_total:
             raise ExpansionLimitError(
                 f"position has {position.total} beans, expansion bound is {max_total}"
@@ -517,7 +528,7 @@ class GrundySolver:
             pos, offset = key
             moves = moves_of[pos]
             games[key] = Game(
-                as_fraction[offset],
+                as_fraction(offset),
                 [games[nxt, offset + award] for award, nxt in moves],
                 [games[nxt, offset - award] for award, nxt in moves],
             )

@@ -9,6 +9,13 @@ here asserts a conjecture is true.
 
 from __future__ import annotations
 
+__all__ = [
+    "sequence_digest", "render_scaled", "PeriodReport", "verify_period", "detect_period",
+    "certified_start", "certify_period", "detect_certified_period", "LemmaReport", "check_lemma",
+    "ScanInstance", "ScanSpec", "ScanRow", "ScanReport", "parse_scan_spec", "scan_instance",
+    "run_scan",
+]
+
 import hashlib
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -397,14 +404,21 @@ def _parse_setting(key: str, value: str) -> int | None:
     return None if key == "budget" and value.lower() == "none" else int(value)
 
 
+_MAX_GROUND = 16  # a family of 2**16 - 1 subsets
+
+
 def _parse_ground_set(value: str) -> list[int]:
+    """Elements and ``a-b`` ranges; more than ``_MAX_GROUND`` elements are refused."""
     ground: set[int] = set()
     for token in value.replace(",", " ").split():
-        if "-" in token:
-            lo, _, hi = token.partition("-")
-            ground.update(range(int(lo), int(hi) + 1))
-        else:
-            ground.add(int(token))
+        lo, dash, hi = token.partition("-")
+        try:
+            span = range(int(lo), int(hi if dash else lo) + 1)
+        except ValueError:
+            raise ValueError(f"bad ground set element {token!r}") from None
+        ground.update(span[: _MAX_GROUND + 1])  # a longer span is refused below anyway
+    if len(ground) > _MAX_GROUND:
+        raise ValueError(f"ground set has more than {_MAX_GROUND} elements")
     if not ground or min(ground) < 1:
         raise ValueError(f"ground set must contain positive integers: {sorted(ground)}")
     return sorted(ground)

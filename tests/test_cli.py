@@ -212,6 +212,35 @@ def test_heap_size_with_too_many_digits_names_its_term(run, argv, term):
     assert err.splitlines() == [f"error: size of heap term {term} has more than {INT_DIGIT_LIMIT} digits"]
 
 
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        (["sub:4,x"], "bad subtraction amounts in 'sub:4,x'"),
+        (["nim:x"], "bad heap bound in 'nim:x'"),
+        (["sub45", "name: sub45; digits: 3; points: 1"], "conflicting rulesets named 'sub45'"),
+    ],
+    ids=["sub-token", "nim-token", "conflict"],
+)
+def test_gs_refuses_bad_rules_references(run, rules, message):
+    argv = [arg for ref in rules for arg in ("--rules", ref)]
+    assert run("gs", *argv, "--position", "-") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ("sub:300000000", "subtraction amount 300000000 is above the limit 1048576"),
+        ("nim:300000000", "bad heap bound in 'nim:300000000'"),
+    ],
+)
+def test_a_huge_removal_is_refused_before_the_rules_are_built(run, ref, message):
+    assert run("table", "--rules", ref, "--max-n", "3") == (2, "", f"error: {message}\n")
+
+
+def test_the_largest_removal_still_works(run):
+    assert run("table", "--rules", "sub:1048576", "--max-n", "3") == (0, "n,value\n0,0\n1,0\n2,0\n3,0\n", "")
+
+
 def test_table_csv_is_exact(run):
     code, out, _ = run("table", "--rules", "sub45", "--max-n", "15")
     assert code == 0
@@ -249,6 +278,14 @@ def test_period_notes_splitting_rules(run):
     assert code == 0
     assert "certified=false" in out
     assert "split" in err
+
+
+def test_period_notes_a_sweep_too_short_to_certify(run):
+    assert run("period", "--rules", "sub:4,7", "--max-n", "20") == (
+        0,
+        "preperiod=18 period=1 certified=false checked_up_to=20 values_digest=8ae4c98e91102627\n",
+        "note: no candidate period certifies within this sweep\n",
+    )
 
 
 def test_period_reports_none(run):

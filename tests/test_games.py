@@ -293,6 +293,17 @@ def test_subtraction_operator():
     assert g - h == add(g, negate(h))
 
 
+@pytest.mark.parametrize("combine", [lambda g: g + 1, lambda g: g - 1], ids=["add", "subtract"])
+def test_a_game_does_not_combine_with_a_plain_number(combine):
+    with pytest.raises(TypeError):
+        combine(Game(0))
+
+
+def test_options_must_be_games():
+    with pytest.raises(TypeError, match="^game options must be Game instances, got int$"):
+        Game(0, [1])
+
+
 def test_long_rule_keeps_playing_inside_sum():
     """A player out of moves in one summand still moves in the other."""
     g = parse_game("{1|0|}")  # Right has no move here
@@ -326,6 +337,18 @@ def test_generator_is_deterministic_and_impartial():
     assert a == b
     assert a != generate_impartial(max_depth=3, max_branch=3, seed=8)
     assert is_impartial(a)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_depth": -1, "max_branch": 1}, "max_depth and max_branch must be nonnegative"),
+        ({"max_depth": 1, "max_branch": 1, "score_bound": -1}, "score_bound must be nonnegative"),
+    ],
+)
+def test_generator_refuses_negative_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_impartial(**kwargs)
 
 
 def test_generator_impartiality_is_hereditary():

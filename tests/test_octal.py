@@ -93,6 +93,10 @@ def test_rules_digest_is_stable_and_distinct():
         lambda: subtraction_rules(()),
         lambda: subtraction_rules((0, 2)),
         lambda: standard_nim(0),
+        lambda: subtraction_rules((4, 2**20 + 1)),
+        lambda: subtraction_rules((4, 10**100)),  # refused before a tuple this long is built
+        lambda: standard_nim(2**20 + 1),
+        lambda: standard_nim(10**100),
     ],
 )
 def test_invalid_rules_rejected(bad):
@@ -291,7 +295,13 @@ def test_moves_and_the_memo_hold_positions():
 @pytest.mark.parametrize("plain", [(("sub45", -1),), (("sub45", 9), ("sub45", 4))], ids=["negative", "unsorted"])
 def test_a_plain_heap_tuple_is_refused(plain):
     """A plain tuple skips the constructor's checks, so no entry point expands it."""
-    for expand in [GrundySolver(SUB45).value, GrundySolver(SUB45).best_moves, lambda p: legal_moves(p, SUB45)]:
+    for expand in [
+        GrundySolver(SUB45).value,
+        GrundySolver(SUB45).best_moves,
+        lambda p: legal_moves(p, SUB45),
+        GrundySolver(SUB45).to_game,
+        lambda p: GrundySolver(SUB45).sweep(5, base=p),
+    ]:
         with pytest.raises(TypeError, match="^expected a Position, got tuple$"):
             expand(plain)
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scoreplay import periods
-from scoreplay.octal import GrundySolver, Position, rules_from_name, subtraction_rules
+from scoreplay.octal import GrundySolver, OctalRules, Position, rules_from_name, subtraction_rules
 from scoreplay.periods import (
     PeriodReport,
     ScanInstance,
@@ -357,11 +357,29 @@ def test_parse_scan_spec_fixed_base_pulls_extra_rules():
         ("instance: sub45 window=2\n", "unknown instance setting"),
         ("subtraction-family: 0-2\n", "line 1"),
         ("instance: sub45 fixed=3@mystery\n", "unknown ruleset"),
+        ("instance:\n", "^scan spec line 1: instance directive needs a rules reference$"),
+        ("instance: sub45 max-n\n", "^scan spec line 1: bad instance setting 'max-n'$"),
+        ("subtraction-family: 1-x\n", "^scan spec line 1: bad ground set element '1-x'$"),
+        ("subtraction-family: 2 -3\n", "^scan spec line 1: bad ground set element '-3'$"),
     ],
 )
 def test_parse_scan_spec_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_scan_spec(text)
+
+
+@pytest.mark.parametrize("ground", ["1-17", "1-8 9-17", "1-100000000000"])
+def test_a_family_over_sixteen_elements_is_refused_before_enumerating(monkeypatch, ground):
+    def enumerate_subsets(ground):
+        raise AssertionError(f"enumerated the subsets of {len(ground)} elements")
+
+    monkeypatch.setattr(periods, "_nonempty_subsets", enumerate_subsets)
+    with pytest.raises(ValueError, match="^scan spec line 2: ground set has more than 16 elements$"):
+        parse_scan_spec(f"max-n: 10\nsubtraction-family: {ground}\n")
+
+
+def test_a_family_of_sixteen_elements_is_accepted():
+    assert periods._parse_ground_set("1-16 3 8-12") == list(range(1, 17))
 
 
 BAD_SETTING_SPECS = [
@@ -413,6 +431,11 @@ def test_scan_instance_certified_nondivisor_outside_hypothesis_not_flagged():
     assert (row.conjectured_2k, row.divides_2k) == (8, False)
     assert not row.in_hypothesis
     assert not row.counterexample
+
+
+def test_scan_instance_points_on_a_zero_digit_leave_the_hypothesis():
+    row = scan_instance(ScanInstance(OctalRules("z", (0, 3), (1, 2)), max_n=60))
+    assert row.certified and not row.in_hypothesis and not row.counterexample
 
 
 def test_scan_instance_not_found_row():
