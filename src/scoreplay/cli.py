@@ -149,11 +149,10 @@ def _load_rules(refs: list[str]) -> dict[str, OctalRules]:
 
 
 def _eval_line(game) -> str:
-    cache: dict = {}  # outcome reads the scores final_scores just computed
-    sl, sr = final_scores(game, cache)
+    sl, sr = final_scores(game)
     return (
         f"sl={format_score(sl)} sr={format_score(sr)} "
-        f"outcome={outcome(game, cache).value} impartial={_bool(is_impartial(game))}"
+        f"outcome={outcome(game).value} impartial={_bool(is_impartial(game))}"
     )
 
 
@@ -284,13 +283,12 @@ def _cmd_oracle(args) -> int:
     total_positions = 0
     for name in sorted(rules):
         solver = GrundySolver(rules[name], budget=args.budget)
-        cache: dict = {}
         checked = 0
         bad = 0
         for heaps in iter_heap_multisets(args.max_total):
             position = Position((name, size) for size in heaps)
             value = solver.value(position)
-            scores = final_scores(solver.to_game(position, max_total=args.max_total), cache)
+            scores = final_scores(solver.to_game(position, max_total=args.max_total))
             if not (value == scores.sl == -scores.sr):
                 bad += 1
                 print(

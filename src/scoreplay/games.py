@@ -114,9 +114,14 @@ class Game:
     is the long-rule disjunctive sum, ``-g`` the mirror image.  Instances
     are safe to share across threads, and threads that build the same game
     get the same object.
+
+    A node's options exist before it does, and no node changes once built.
+    So its optimal final scores (see :func:`final_scores`) are fixed when it
+    is first interned, one minimax step over its options' scores, and are
+    stored on it; no later query walks the tree.
     """
 
-    __slots__ = ("score", "left", "right", "_key", "__weakref__")
+    __slots__ = ("score", "left", "right", "_key", "_sl", "_sr", "__weakref__")
 
     def __new__(cls, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
         score = as_score(score)
@@ -138,6 +143,10 @@ class Game:
                 # exactly with Fractions.
                 first = num if den == 1 else score
                 node._key = (first, tuple(o._key for o in left), tuple(o._key for o in right))
+                # The options were built first, so their scores are known:
+                # one step of the minimax, in the same int-or-Fraction form.
+                node._sl = max([o._sr for o in left]) if left else first
+                node._sr = min([o._sl for o in right]) if right else first
                 _INTERNED[key] = node
         return node
 
@@ -149,9 +158,22 @@ class Game:
         construction.
         """
 
+    def __copy__(self):
+        return self  # immutable and interned, so any copy is this very node
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the intern table
-        return (Game, (self.score, self.left, self.right))
+        # pickle rebuilds through the intern table.  It gets the distinct
+        # nodes once, in post-order, each as its score and the indices of
+        # its options, so no depth of game recurses.
+        index: dict[Game, int] = {}
+        nodes = []
+        for node in _post_order(self, index, _options):
+            index[node] = len(nodes)
+            nodes.append((node.score, [index[o] for o in node.left], [index[o] for o in node.right]))
+        return (_from_post_order, (nodes,))
 
     @property
     def is_number(self) -> bool:
@@ -187,6 +209,14 @@ class Game:
             # format_score's error keeps the interpreter's as its cause
             why = exc if exc.__cause__ else f"notation over {MAX_RENDER_CHARS} characters"
             return f"<Game score={score} left={len(self.left)} right={len(self.right)}: {why}>"
+
+
+def _from_post_order(nodes) -> Game:
+    """The last of ``nodes``, built bottom-up from ``Game.__reduce__``'s list."""
+    built: list[Game] = []
+    for score, left, right in nodes:
+        built.append(Game(score, [built[i] for i in left], [built[i] for i in right]))
+    return built[-1]
 
 
 # (numerator, denominator, left, right) -> the live node.  The lock makes
@@ -289,19 +319,16 @@ class FinalScores(NamedTuple):
     sr: Score  # final score under optimal play, Right moving first
 
 
-def final_scores(game: Game, cache: dict[Game, FinalScores] | None = None) -> FinalScores:
+def final_scores(game: Game) -> FinalScores:
     """Optimal final scores for both move orders.
 
-    Iterative, so deep trees cannot hit the interpreter recursion limit.
-    Pass a shared ``cache`` to reuse work across games with common subtrees.
+    With Left to move first, the result is the greatest Right-first score
+    among the left options; with Right first, the least Left-first score
+    among the right options; a player with no option ends play at the
+    node's own score.  Every node computed its pair when it was built (see
+    :class:`Game`), so this reads the root's pair and walks nothing.
     """
-    if cache is None:
-        cache = {}
-    for node in _post_order(game, cache, _options):
-        sl = max(cache[child].sr for child in node.left) if node.left else node.score
-        sr = min(cache[child].sl for child in node.right) if node.right else node.score
-        cache[node] = FinalScores(sl, sr)
-    return cache[game]
+    return FinalScores(Fraction(game._sl), Fraction(game._sr))
 
 
 def _post_order(root, done, children) -> Iterator:
@@ -336,14 +363,15 @@ class Outcome(Enum):
     TIE = "Tie"
 
 
-def outcome(game: Game, cache: dict[Game, FinalScores] | None = None) -> Outcome:
+def outcome(game: Game) -> Outcome:
     """Outcome class from the signs of the two optimal final scores.
 
     Left wins when both signs favor her and at least one is strict; same for
     Right.  (+,-) favors whoever moves first, (-,+) whoever moves second,
-    and (0,0) is a tie.
+    and (0,0) is a tie.  Reads the scores stored on the root, like
+    :func:`final_scores`.
     """
-    sl, sr = final_scores(game, cache)
+    sl, sr = game._sl, game._sr
     a = (sl > 0) - (sl < 0)
     b = (sr > 0) - (sr < 0)
     if a >= 0 and b >= 0:

@@ -212,9 +212,10 @@ def resolve_rules_ref(ref: str) -> OctalRules:
         return subtraction_rules(amounts)
     if ref.startswith("nim:"):
         try:
-            return standard_nim(int(ref[4:]))
+            max_take = int(ref[4:])
         except ValueError:
             raise RulesError(f"bad heap bound in {ref!r}") from None
+        return standard_nim(max_take)
     named = rules_from_name(ref)
     if named is not None:
         return named

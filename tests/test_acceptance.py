@@ -97,11 +97,10 @@ def test_criterion_04_evaluator_matches_expanded_trees():
     checked = 0
     for rules in rulesets:
         solver = GrundySolver(rules)
-        cache: dict = {}
         for heaps in multisets:
             position = Position(tuple((rules.name, size) for size in heaps))
             value = solver.value(position)
-            sl, sr = final_scores(solver.to_game(position, max_total=12), cache)
+            sl, sr = final_scores(solver.to_game(position, max_total=12))
             assert value == sl == -sr, (rules.name, heaps)
             checked += 1
     elapsed = time.perf_counter() - start

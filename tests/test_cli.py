@@ -217,9 +217,10 @@ def test_heap_size_with_too_many_digits_names_its_term(run, argv, term):
     [
         (["sub:4,x"], "bad subtraction amounts in 'sub:4,x'"),
         (["nim:x"], "bad heap bound in 'nim:x'"),
+        (["nim:0"], "max_take must be at least 1"),
         (["sub45", "name: sub45; digits: 3; points: 1"], "conflicting rulesets named 'sub45'"),
     ],
-    ids=["sub-token", "nim-token", "conflict"],
+    ids=["sub-token", "nim-token", "nim-zero", "conflict"],
 )
 def test_gs_refuses_bad_rules_references(run, rules, message):
     argv = [arg for ref in rules for arg in ("--rules", ref)]
@@ -230,7 +231,7 @@ def test_gs_refuses_bad_rules_references(run, rules, message):
     "ref, message",
     [
         ("sub:300000000", "subtraction amount 300000000 is above the limit 1048576"),
-        ("nim:300000000", "bad heap bound in 'nim:300000000'"),
+        ("nim:300000000", "max_take 300000000 is above the limit 1048576"),
     ],
 )
 def test_a_huge_removal_is_refused_before_the_rules_are_built(run, ref, message):

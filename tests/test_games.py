@@ -237,12 +237,31 @@ def test_final_scores_of_number_is_its_score():
     assert final_scores(number(Fraction(-7, 2))) == FinalScores(Fraction(-7, 2), Fraction(-7, 2))
 
 
-def test_final_scores_cache_is_reusable():
-    cache = {}
-    game = parse_game("{2,{11|4|-3}|3|4,{9|2|-5}}")
-    first = final_scores(game, cache)
-    assert final_scores(game, cache) == first
-    assert game in cache
+def test_final_scores_are_the_same_on_every_call_and_on_a_rebuilt_game():
+    text = "{2,{11|40|-3}|3|4,{9|40|-5}}"
+    game = parse_game(text)
+    first = final_scores(game)
+    assert final_scores(game) == first == FinalScores(Fraction(2), Fraction(4))
+    del game
+    gc.collect()  # the nodes die, so the next parse interns new ones
+    assert final_scores(parse_game(text)) == first
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("{4|3|2}", (4, 2)),
+        ("{1/2|3/2|-1/3}", (Fraction(1, 2), Fraction(-1, 3))),
+        ("{1,3/2,2|0|-1/2,-1}", (2, -1)),
+        ("{1,3/2|0|-1/2,-1}", (Fraction(3, 2), -1)),
+        ("-7/2", (Fraction(-7, 2), Fraction(-7, 2))),
+    ],
+    ids=["integral", "fractional", "mixed-integral-max", "mixed-fractional-max", "number"],
+)
+def test_final_scores_are_fractions_whatever_the_option_scores(text, expected):
+    pair = final_scores(parse_game(text))
+    assert pair == expected
+    assert (type(pair.sl), type(pair.sr)) == (Fraction, Fraction)
 
 
 @pytest.mark.parametrize(
@@ -458,10 +477,24 @@ def test_translate_back_is_the_same_game(g, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(games)
-def test_final_scores_match_naive_minimax(g):
-    """The cached evaluator agrees with direct recursion."""
-    assert final_scores(g) == FinalScores(*naive_final_scores(g))
+@given(games, games, scores, st.randoms(use_true_random=False))
+def test_final_scores_match_naive_minimax(g, h, c, rng):
+    """The scores stored at construction agree with direct recursion, for
+    nodes built directly with options in any order, by the parser, by the
+    reflection walk and by sums."""
+    options = [g, h, number(c)]
+    built = [
+        g,
+        Game(c, rng.sample(options, 3), rng.sample(options, 2)),
+        parse_game(render_game(h)),
+        reflect(g, c),
+        g + h,
+    ]
+    for game in built:
+        sl, sr = naive_final_scores(game)
+        assert final_scores(game) == FinalScores(sl, sr)
+        # a node with those two scores one move away has the same outcome
+        assert outcome(game) is outcome(Game(0, [number(sl)], [number(sr)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,6 +661,10 @@ def test_deep_chain_algebra_and_notation_need_no_recursion():
     assert lines[-1] == "  R 0"
     del lines
     assert parse_game(render_game(game)) is game
+    assert final_scores(game) == FinalScores(Fraction(0), Fraction(0))
+    assert outcome(game) is Outcome.TIE
+    assert final_scores(reflect(game, 3)) == FinalScores(Fraction(3), Fraction(3))
+    assert outcome(reflect(game, 3)) is Outcome.L
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +774,13 @@ def test_deep_game_renders_without_recursion():
 
 
 def test_copy_deepcopy_and_pickle_return_the_interned_game():
-    game = parse_game("{2,{11|4|-3}|3|4,{9|2|-5}}")
-    assert copy.copy(game) is game
-    assert copy.deepcopy(game) is game
-    assert pickle.loads(pickle.dumps(game)) is game
+    deep = number(7)
+    for _ in range(3000):
+        deep = Game(0, [deep], [number(0)])
+    for game in (parse_game("{2,{11|4|-3}|3|4,{9|2|-5}}"), deep):
+        assert copy.copy(game) is game
+        assert copy.deepcopy(game) is game
+        assert pickle.loads(pickle.dumps(game)) is game
 
 
 def test_interned_games_die_with_their_last_reference():
