@@ -365,9 +365,9 @@ class GrundySolver:
     loaded rulesets, which is exact.  Each ruleset's awards are scaled once,
     when the solver is built.  A value or award becomes a Fraction only
     where a public method returns it, one Fraction per distinct value.
-    :meth:`to_game` generates each position's moves once, however many
-    running scores reach it; :meth:`value` drops a position's moves as soon
-    as the position is valued.
+    :meth:`to_game` generates each position's moves once and expands one
+    node per class of positions and running score; it and :meth:`value`
+    each drop a position's moves as soon as they are done with them.
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
@@ -383,9 +383,12 @@ class GrundySolver:
         self._values: dict[Position, int] = {}
         # single-heap values of non-splitting rulesets (see sweep)
         self._tables: dict[str, list[int]] = {}
-        # to_game's expansion: each position's moves, and one node per running score
-        self._moves: dict[Position, list[tuple[int, Position]]] = {}
-        self._games: dict[tuple[Position, int], Game] = {}
+        # to_game's expansion: each position's class id, each class's id by
+        # its shape and its shape by id, and one node per class and running score
+        self._class_of: dict[Position, int] = {}
+        self._class_ids: dict[frozenset[tuple[int, int]], int] = {}
+        self._class_moves: list[frozenset[tuple[int, int]]] = []
+        self._games: dict[tuple[int, int], Game] = {}
         # a scaled int x as Fraction(x, scale), built once per x
         self._as_fraction = cache(partial(Fraction, denominator=self.scale))
 
@@ -397,7 +400,9 @@ class GrundySolver:
     def clear_cache(self) -> None:
         self._values.clear()
         self._tables.clear()
-        self._moves.clear()
+        self._class_of.clear()
+        self._class_ids.clear()
+        self._class_moves.clear()
         self._games.clear()
         self._as_fraction.cache_clear()
 
@@ -504,36 +509,70 @@ class GrundySolver:
 
         Left's awards add to the running score and Right's subtract, so the
         final scores of the expansion match the evaluator's value and its
-        negation.  Subtrees are shared where the same sub-position and
-        running score recur, and each position's moves are generated once
-        for all the running scores it is reached with.  ``max_total`` bounds
-        the beans in play.
+        negation.  ``max_total`` bounds the beans in play; the budget does
+        not apply here.
+
+        Nodes are keyed by a position's class and the running score.  A
+        class is interned from a position's shape, the set of ``(award,
+        class of next position)`` over its moves, so dead heaps and heaps
+        with the same moves fall into one class.  Each key is one node and
+        each node one key, by induction on the longest play from a class:
+
+        - Two positions of one class expand to the same node at every
+          running score s.  Both nodes score s, and their left options are
+          the nodes of the same ``(award, class)`` pairs at ``s + award``,
+          which are equal by induction; the right options likewise.
+        - Two different keys expand to different nodes.  A node's score is
+          its running score, so keys with different scores give different
+          nodes.  At one score s, each left option scores ``s + award``,
+          which gives back its award, and by induction the option gives
+          back its class.  So a node at s gives back its shape, hence its
+          class.
         """
         _require_position(position)
         if position.total > max_total:
             raise ExpansionLimitError(
                 f"position has {position.total} beans, expansion bound is {max_total}"
             )
+        root = self._classify(position)
         games = self._games
-        moves_of = self._moves
+        class_moves = self._class_moves
         as_fraction = self._as_fraction
 
-        def options(key: tuple[Position, int]) -> list[tuple[Position, int]]:
-            pos, offset = key
-            moves = moves_of.get(pos)
-            if moves is None:
-                moves = moves_of[pos] = _next_moves(pos, self.rules, self._awards)
-            return [(nxt, offset + sign * award) for award, nxt in moves for sign in (1, -1)]
+        def options(key: tuple[int, int]) -> list[tuple[int, int]]:
+            cls, offset = key
+            return [(nxt, offset + sign * award) for award, nxt in class_moves[cls] for sign in (1, -1)]
 
-        for key in _post_order((position, 0), games, options):
-            pos, offset = key
-            moves = moves_of[pos]
+        for key in _post_order((root, 0), games, options):
+            cls, offset = key
+            moves = class_moves[cls]
             games[key] = Game(
                 as_fraction(offset),
                 [games[nxt, offset + award] for award, nxt in moves],
                 [games[nxt, offset - award] for award, nxt in moves],
             )
-        return games[position, 0]
+        return games[root, 0]
+
+    def _classify(self, position: Position) -> int:
+        """The class id of ``position``, after classing every position under it.
+
+        Each position's moves are generated once, and dropped as soon as
+        its class is known.
+        """
+        class_of, class_ids, class_moves = self._class_of, self._class_ids, self._class_moves
+        rules, awards = self.rules, self._awards
+        pending_moves: dict[Position, list[tuple[int, Position]]] = {}
+
+        def next_positions(pos: Position) -> list[Position]:
+            moves = pending_moves[pos] = _next_moves(pos, rules, awards)
+            return [nxt for _, nxt in moves]
+
+        for pos in _post_order(position, class_of, next_positions):
+            shape = frozenset([(award, class_of[nxt]) for award, nxt in pending_moves.pop(pos)])
+            cls = class_of[pos] = class_ids.setdefault(shape, len(class_ids))
+            if cls == len(class_moves):
+                class_moves.append(shape)
+        return class_of[position]
 
     def _resolve_var(self, var: str | None) -> str:
         if var is None:

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite.
 
-The minimax oracle here is deliberately independent of the library's
-evaluator: straight recursion over option lists, no shared caches, so the
-two implementations can check each other.
+The minimax oracle, the move generator and the heap expansion here are
+deliberately independent of the library's: straight recursion, no shared
+caches, so the two implementations can check each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from scoreplay.games import Game, number
-from scoreplay.octal import OctalRules
+from scoreplay.octal import MoveOutcome, OctalRules, Position, UnknownRulesetError
 
 
 # Depth at which two sibling chains that differ only at the leaf can no
@@ -52,6 +52,63 @@ def naive_sl(game: Game) -> Fraction:
 
 def naive_sr(game: Game) -> Fraction:
     return naive_final_scores(game)[1]
+
+
+def ref_replace_heap(position, heap, parts):
+    heaps = list(position)
+    heaps.remove(heap)
+    heaps.extend((heap[0], part) for part in parts)
+    return Position(tuple(heaps))
+
+
+def ref_legal_moves(position, rules):
+    """Move generation as it was written in Fraction points: a dict keyed
+    on (points, heaps) merges equal moves, then a sort on that key."""
+    by_name = {ruleset.name: ruleset for ruleset in rules}
+    found = {}
+    for heap in set(position):
+        ruleset_id, size = heap
+        ruleset = by_name.get(ruleset_id)
+        if ruleset is None:
+            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
+        for take in range(1, min(size, len(ruleset.digits)) + 1):
+            digit = ruleset.digits[take - 1]
+            award = ruleset.points[take - 1]
+            rest = size - take
+            parts = []
+            if digit & 1 and rest == 0:
+                parts.append(())
+            if digit & 2 and rest >= 1:
+                parts.append((rest,))
+            if digit & 4 and rest >= 2:
+                parts.extend((small, rest - small) for small in range(1, rest // 2 + 1))
+            for split in parts:
+                move = MoveOutcome(award, ref_replace_heap(position, heap, split))
+                found[move.points, move.next] = move
+    return [found[key] for key in sorted(found)]
+
+
+def ref_to_game(position, rules) -> Game:
+    """A position's play tree, one node per position and running score.
+
+    Left's points add to the running score and Right's subtract, from zero
+    at the root.  Recursion over :func:`ref_legal_moves`, with a memo only
+    on (position, running score): no classes of positions.
+    """
+    memo = {}
+
+    def expand(pos, score):
+        key = (pos, score)
+        if key not in memo:
+            moves = ref_legal_moves(pos, rules)
+            memo[key] = Game(
+                score,
+                [expand(move.next, score + move.points) for move in moves],
+                [expand(move.next, score - move.points) for move in moves],
+            )
+        return memo[key]
+
+    return expand(position, Fraction(0))
 
 
 def greedy_nim_value(heaps) -> Fraction:

@@ -1,6 +1,7 @@
 """Octal heap games: rules, positions, move generation, exact values."""
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -14,13 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scoreplay import octal
+from scoreplay import games, octal
 from scoreplay.games import FinalScores, add, final_scores, parse_game
 from scoreplay.octal import (
     BudgetExceededError,
     ExpansionLimitError,
     GrundySolver,
-    MoveOutcome,
     OctalRules,
     Position,
     RulesError,
@@ -36,7 +36,7 @@ from scoreplay.octal import (
     subtraction_rules,
 )
 from scoreplay.periods import _nonempty_subsets
-from support import awards, naive_final_scores, non_splitting_rules
+from support import awards, naive_final_scores, non_splitting_rules, ref_legal_moves, ref_to_game
 
 
 SUB45 = subtraction_rules((4, 5))
@@ -640,40 +640,6 @@ def test_scaled_solver_matches_fraction_reference(a, b, heaps):
     assert final_scores(solver.to_game(position)) == FinalScores(value, -value)
 
 
-def ref_replace_heap(position, heap, parts):
-    heaps = list(position)
-    heaps.remove(heap)
-    heaps.extend((heap[0], part) for part in parts)
-    return Position(tuple(heaps))
-
-
-def ref_legal_moves(position, rules):
-    """Move generation as it was written in Fraction points: a dict keyed
-    on (points, heaps) merges equal moves, then a sort on that key."""
-    by_name = {ruleset.name: ruleset for ruleset in rules}
-    found = {}
-    for heap in set(position):
-        ruleset_id, size = heap
-        ruleset = by_name.get(ruleset_id)
-        if ruleset is None:
-            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
-        for take in range(1, min(size, len(ruleset.digits)) + 1):
-            digit = ruleset.digits[take - 1]
-            award = ruleset.points[take - 1]
-            rest = size - take
-            parts = []
-            if digit & 1 and rest == 0:
-                parts.append(())
-            if digit & 2 and rest >= 1:
-                parts.append((rest,))
-            if digit & 4 and rest >= 2:
-                parts.extend((small, rest - small) for small in range(1, rest // 2 + 1))
-            for split in parts:
-                move = MoveOutcome(award, ref_replace_heap(position, heap, split))
-                found[move.points, move.next] = move
-    return [found[key] for key in sorted(found)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(rules_named("a"), rules_named("b"), two_ruleset_heaps)
 @example(HALF, TWO_THIRDS, [("a", 5), ("b", 4)])
@@ -684,10 +650,11 @@ def test_move_generation_matches_reference(a, b, heaps):
     rules = (a, b)
     solver = GrundySolver(rules)
     solver.to_game(Position(tuple(heaps)))
-    assert solver._moves
-    for position, scaled in solver._moves.items():
+    assert solver._class_of
+    for position in solver._class_of:
         reference = ref_legal_moves(position, rules)
         assert legal_moves(position, rules) == reference
+        scaled = octal._next_moves(position, solver.rules, solver._awards)
         assert scaled == [(move.points * solver.scale, move.next) for move in reference]
         assert all(type(award) is int for award, _ in scaled)
 
@@ -783,6 +750,75 @@ def test_expansion_agrees_with_naive_minimax():
         game = solver.to_game(Position((("o26", n),)))
         sl, sr = naive_final_scores(game)
         assert solver.value(Position((("o26", n),))) == sl == -sr
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules_named("a"), rules_named("b"), two_ruleset_heaps)
+@example(HALF, TWO_THIRDS, [("a", 5), ("b", 4)])
+def test_class_expansion_matches_per_position_expansion(a, b, heaps):
+    """Keying the expansion by class builds the very node that keying it
+    by position does, split digits and two rulesets included."""
+    rules = (a, b)
+    position = Position(tuple(heaps))
+    assert GrundySolver(rules).to_game(position) is ref_to_game(position, rules)
+
+
+# Heaps of 2 to 4 beans are dead: 1 bean may only be taken from a 1-bean
+# heap, and taking 4 must leave a heap.
+BAND = parse_rules_document("name: band; digits: 1 0 0 6; points: 1 1/2 1 -1")
+
+
+def test_heaps_with_the_same_moves_share_a_class():
+    solver = GrundySolver(SUB45)
+    assert solver.to_game(heap(6)) is solver.to_game(heap(7))
+    assert solver._class_of[heap(6)] == solver._class_of[heap(7)]
+
+
+def test_dead_heaps_drop_out_of_the_expansion():
+    solver = GrundySolver(BAND)
+    for heaps in iter_heap_multisets(7):
+        position = Position(("band", size) for size in heaps)
+        padded = position.add_heap("band", 3)
+        assert solver.to_game(padded, max_total=10) is solver.to_game(position)
+        assert solver._class_of[padded] == solver._class_of[position]
+
+
+def test_expansion_builds_one_node_per_key():
+    """The oracle's loop: no two (class, running score) keys share a node."""
+    for rules in (rules_from_name("o26"), SUB45, BAND):
+        solver = GrundySolver(rules)
+        for heaps in iter_heap_multisets(10):
+            position = Position((rules.name, size) for size in heaps)
+            solver.value(position)
+            solver.to_game(position, max_total=10)
+        assert len(solver._games) == len(set(solver._games.values())), rules.name
+        assert len(solver._class_moves) < len(solver._class_of), rules.name
+
+
+def test_a_dropped_solver_frees_its_nodes():
+    """The solver holds its nodes without a reference cycle, so they die
+    with it, before any cyclic collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(games._INTERNED)
+        solver = GrundySolver(BAND)
+        for heaps in iter_heap_multisets(8):
+            solver.to_game(Position(("band", size) for size in heaps))
+        assert len(games._INTERNED) > before
+        del solver
+        assert len(games._INTERNED) == before
+    finally:
+        gc.enable()
+
+
+def test_clear_cache_empties_the_class_tables():
+    solver = GrundySolver(BAND)
+    position = parse_position("5@band,3@band,1@band")
+    game = solver.to_game(position)
+    solver.clear_cache()
+    assert not (solver._class_of or solver._class_ids or solver._class_moves or solver._games)
+    assert solver.to_game(position) is game
 
 
 def test_expansion_limit_guards_blowup():
