@@ -199,8 +199,9 @@ def _sweep_values(args) -> tuple[OctalRules, Position, list[int], int]:
     rules = _load_rules(args.rules)
     base = parse_position(args.fixed, known=rules)
     solver = GrundySolver(rules.values(), budget=args.budget)
-    values = solver._scaled_sweep(args.max_n, args.var, base)
-    return solver.rules[solver._resolve_var(args.var)], base, values, solver.scale
+    values = solver.sweep(args.max_n, args.var, base)
+    # the sweep has refused a missing or unknown --var
+    return solver.rules[args.var or next(iter(rules))], base, values, solver.scale
 
 
 def _cmd_table(args) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 __all__ = [
     "Score", "NotationError", "RenderSizeError", "as_score", "parse_score", "format_score",
-    "Game", "game_order", "GameDepthError", "number", "reflect", "negate", "translate", "add",
-    "FinalScores", "final_scores", "Outcome", "outcome", "is_impartial", "identity_game",
-    "generate_impartial", "parse_game", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_game",
-    "render_tree",
+    "Game", "GameDepthError", "reflect", "negate", "translate", "add", "FinalScores",
+    "final_scores", "Outcome", "outcome", "is_impartial", "identity_game", "generate_impartial",
+    "parse_game", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_game", "render_tree",
 ]
 
 import random
@@ -105,11 +104,13 @@ def format_score(value: Score) -> str:
 class Game:
     """An immutable scoring-play game in canonical form, hash-consed.
 
-    Option sets are stored deduplicated and sorted under :func:`game_order`,
-    and every structurally distinct game exists once per process: building
-    a game that is structurally equal to a live one returns that very
-    object, however either was built.  So structurally equal games are the
-    same object (``is``), and equality is identity.  The intern table holds
+    Option sets are stored deduplicated and sorted by a total order on
+    games: score first, then the left options, then the right options, each
+    list compared lexicographically with a proper prefix first.  Every
+    structurally distinct game exists once per process: building a game
+    that is structurally equal to a live one returns that very object,
+    however either was built.  So structurally equal games are the same
+    object (``is``), and equality is identity.  The intern table holds
     nodes weakly, so a node dies with its last outside reference.  ``g + h``
     is the long-rule disjunctive sum, ``-g`` the mirror image.  Instances
     are safe to share across threads, and threads that build the same game
@@ -137,10 +138,10 @@ class Game:
             if node is None:
                 node = object.__new__(cls)
                 node.score, node.left, node.right = score, left, right
-                # Tuples order exactly as game_order does: score, then the
-                # option lists lexicographically, a proper prefix first.  An
-                # integral score sorts as an int, which compares faster and
-                # exactly with Fractions.
+                # The key tuples carry the order on games: score, then the
+                # left and then the right option lists lexicographically, a
+                # proper prefix first.  An integral score sorts as an int,
+                # which compares faster and exactly with Fractions.
                 first = num if den == 1 else score
                 node._key = (first, tuple(o._key for o in left), tuple(o._key for o in right))
                 # The options were built first, so their scores are known:
@@ -225,17 +226,6 @@ _INTERNED: weakref.WeakValueDictionary[tuple, Game] = weakref.WeakValueDictionar
 _INTERN_LOCK = threading.Lock()
 
 
-def game_order(a: Game, b: Game) -> int:
-    """Total order on games: score, then left options, then right options.
-
-    Option lists compare lexicographically under the same order, a proper
-    prefix first.  Returns negative, zero, or positive like a three-way
-    comparison; zero only for the same game.
-    """
-    ka, kb = a._key, b._key
-    return (ka > kb) - (ka < kb)
-
-
 _SORT_KEY = attrgetter("_key")
 
 
@@ -257,11 +247,6 @@ def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
             # that the options share
             raise GameDepthError("sibling options agree too many levels deep to be ordered") from None
     return opts
-
-
-def number(score) -> Game:
-    """The game with no options and the given final score."""
-    return Game(score)
 
 
 def reflect(game: Game, about) -> Game:
@@ -289,7 +274,7 @@ def negate(game: Game) -> Game:
 
 def translate(game: Game, amount) -> Game:
     """Add ``amount`` to every score in the tree: the sum with a bare number."""
-    return add(game, number(amount))
+    return add(game, Game(amount))
 
 
 def add(g: Game, h: Game) -> Game:
@@ -400,7 +385,7 @@ def identity_game() -> Game:
     Each side gets a two-move dance worth nothing, so either player can
     answer a move here without touching the rest of the sum.
     """
-    pivot = Game(0, [number(0)], [number(0)])
+    pivot = Game(0, [Game(0)], [Game(0)])
     return Game(0, [pivot], [pivot])
 
 

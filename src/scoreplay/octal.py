@@ -363,8 +363,10 @@ class GrundySolver:
     The solver computes in ints: every award, value and running score is
     kept multiplied by ``scale``, the LCM of the award denominators over all
     loaded rulesets, which is exact.  Each ruleset's awards are scaled once,
-    when the solver is built.  A value or award becomes a Fraction only
-    where a public method returns it, one Fraction per distinct value.
+    when the solver is built.  Many values come back as those ints:
+    :meth:`sweep` returns each value times ``scale``.  One value or move
+    comes back as a Fraction: :meth:`value`, :meth:`best_moves` and the
+    scores of :meth:`to_game`, one Fraction per distinct value.
     :meth:`to_game` generates each position's moves once and expands one
     node per class of positions and running score; it and :meth:`value`
     each drop a position's moves as soon as they are done with them.
@@ -443,24 +445,22 @@ class GrundySolver:
             if result == best
         ]
 
-    def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[Score]:
-        """Values of ``base`` plus one growing heap, for sizes 0..max_n.
+    def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[int]:
+        """Values of ``base`` plus one growing heap, for sizes 0..max_n, each times ``scale``.
 
-        Entry 0 is the value of the base alone.  Work persists across
-        entries and across sweeps.
+        Entry n is an int, the value times :attr:`scale`, so
+        ``Fraction(entry, solver.scale)`` is the exact value; equal values
+        are equal ints.  Entry 0 is the value of the base alone.  Work
+        persists across entries and across sweeps.
 
         With an empty base and a ruleset that never splits a heap, every
         position reached is a single heap of that ruleset, so the sweep runs
         the recurrence ``v[n] = max(points[k] - v[n - k])`` over a flat table
         of scaled ints.  The table is kept per ruleset, a longer sweep
         extends it, and it counts toward ``positions_evaluated`` and the
-        budget.  Every other sweep evaluates each entry with :meth:`value`.
-        The values are the same either way.
+        budget.  Every other sweep evaluates each entry as :meth:`value`
+        does.  The values are the same either way.
         """
-        return list(map(self._as_fraction, self._scaled_sweep(max_n, var, base)))
-
-    def _scaled_sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[int]:
-        """:meth:`sweep`'s values, each times ``scale``."""
         _require_position(base)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")

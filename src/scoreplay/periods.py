@@ -224,13 +224,20 @@ class LemmaReport:
 
 
 def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
-    """Check the alternation identity and its residue bounds up to ``i_max``."""
+    """Check the alternation identity and its residue bounds up to ``i_max``.
+
+    The sweep runs under the default scan budget, ``ScanInstance.budget``
+    positions, so too large an ``i_max`` raises
+    :class:`~scoreplay.octal.BudgetExceededError` instead of exhausting memory.
+    """
     rules = subtraction_rules(amounts)
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
     k = len(rules.digits)
     s_set = [take for take, digit in enumerate(rules.digits, start=1) if digit]
-    solver = GrundySolver(rules)
+    solver = GrundySolver(rules, budget=ScanInstance.budget)
+    # every award is a whole number of beans, so the scale is 1 and the
+    # swept ints are the values themselves
     seq = solver.sweep(2 * (i_max + 1) * k)
 
     identity = []
@@ -239,17 +246,17 @@ def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
             lhs = seq[s + 2 * i * k]
             rhs = k - seq[s + (2 * i - 1) * k]
             if lhs != rhs:
-                identity.append((s, i, lhs, rhs))
+                identity.append((s, i, Fraction(lhs), Fraction(rhs)))
 
     bounds = []
     for r in range(0, k + 1):
         for i in range(0, i_max + 1):
             even_value = seq[r + 2 * i * k]
             if even_value > r:
-                bounds.append((r, i, even_value, Fraction(r), "even-block value above residue"))
+                bounds.append((r, i, Fraction(even_value), Fraction(r), "even-block value above residue"))
             odd_value = seq[r + (2 * i + 1) * k]
             if odd_value < k - r:
-                bounds.append((r, i, odd_value, Fraction(k - r), "odd-block value below k-r"))
+                bounds.append((r, i, Fraction(odd_value), Fraction(k - r), "odd-block value below k-r"))
 
     return LemmaReport(tuple(s_set), k, i_max, tuple(identity), tuple(bounds))
 
@@ -497,7 +504,7 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     in_hypothesis = _in_hypothesis(instance)
     try:
         # detection compares values with == only, so the scaled ints serve
-        values = solver._scaled_sweep(instance.max_n, rules.name, instance.fixed)
+        values = solver.sweep(instance.max_n, rules.name, instance.fixed)
     except BudgetExceededError:
         status, report, digest = "budget-exceeded", None, ""
     else:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from scoreplay.games import Game, number
+from scoreplay.games import Game
 from scoreplay.octal import MoveOutcome, OctalRules, Position, UnknownRulesetError
 
 
@@ -135,7 +135,7 @@ def _shallow_games(children):
     return st.builds(Game, scores, options, options)
 
 
-games = st.recursive(scores.map(number), _shallow_games, max_leaves=12)
+games = st.recursive(scores.map(Game), _shallow_games, max_leaves=12)
 
 
 # Fractional and negative point awards, some of them common edge values.

@@ -343,7 +343,7 @@ def test_period_checks_the_window_before_sweeping(run, monkeypatch, argv, messag
     def sweep(*args, **kwargs):
         raise AssertionError("swept with a bad window")
 
-    monkeypatch.setattr(GrundySolver, "_scaled_sweep", sweep)
+    monkeypatch.setattr(GrundySolver, "sweep", sweep)
     assert run("period", "--rules", "o26", *argv) == (2, "", f"error: {message}\n")
 
 
@@ -357,6 +357,15 @@ def test_lemma_pass(run):
     assert code == 0
     assert out.splitlines()[0] == "set={4,5} k=5 imax=5"
     assert out.splitlines()[-1] == "status=pass"
+
+
+def test_lemma_sweeps_under_the_default_budget(run):
+    """A huge --imax stops at the default budget instead of exhausting memory."""
+    assert run("lemma", "--set", "4,5", "--imax", "1000000000") == (
+        2,
+        "",
+        "error: position budget exceeded (1000000 positions) evaluating 1000000@sub45\n",
+    )
 
 
 def test_lemma_refuses_a_bad_amount(run):

@@ -31,12 +31,10 @@ from scoreplay.games import (
     as_score,
     final_scores,
     format_score,
-    game_order,
     generate_impartial,
     identity_game,
     is_impartial,
     negate,
-    number,
     outcome,
     parse_game,
     parse_score,
@@ -117,7 +115,7 @@ def test_parse_render_round_trip(text):
 
 def test_numbers_render_bare():
     assert render_game(parse_game("5")) == "5"
-    assert render_game(number(Fraction(-7, 2))) == "-7/2"
+    assert render_game(Game(Fraction(-7, 2))) == "-7/2"
 
 
 def test_option_order_is_canonical():
@@ -132,8 +130,8 @@ def test_option_order_is_canonical():
 def test_duplicate_options_collapse():
     """Options form a set, so repeating one changes nothing."""
     assert parse_game("{1,1|0|}") is parse_game("{1|0|}")
-    one = number(1)
-    assert Game(0, [one, number(1), one]).left == (one,)
+    one = Game(1)
+    assert Game(0, [one, Game(1), one]).left == (one,)
     total = parse_game("{4|3|2}") + parse_game("{1|0|-1}")
     assert render_game(total) == "{{5|4|3}|3|{3|2|1}}"
 
@@ -210,14 +208,8 @@ def test_parse_game_returns_a_game_or_raises_notation_error(text):
 
 
 def test_number_is_number():
-    assert number(3).is_number
+    assert Game(3).is_number
     assert not parse_game("{4|3|2}").is_number
-
-
-def test_game_order_is_total_on_distinct_games():
-    a, b = parse_game("{4|3|2}"), parse_game("{1|0|-1}")
-    assert game_order(a, b) == -game_order(b, a) != 0
-    assert game_order(a, a) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +226,7 @@ def test_final_scores_two_level_tree():
 
 
 def test_final_scores_of_number_is_its_score():
-    assert final_scores(number(Fraction(-7, 2))) == FinalScores(Fraction(-7, 2), Fraction(-7, 2))
+    assert final_scores(Game(Fraction(-7, 2))) == FinalScores(Fraction(-7, 2), Fraction(-7, 2))
 
 
 def test_final_scores_are_the_same_on_every_call_and_on_a_rebuilt_game():
@@ -279,9 +271,9 @@ def test_outcome_five_classes(text, expected):
 
 
 def test_outcome_of_positive_and_negative_numbers():
-    assert outcome(number(3)) is Outcome.L
-    assert outcome(number(-3)) is Outcome.R
-    assert outcome(number(0)) is Outcome.TIE
+    assert outcome(Game(3)) is Outcome.L
+    assert outcome(Game(-3)) is Outcome.R
+    assert outcome(Game(0)) is Outcome.TIE
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +281,12 @@ def test_outcome_of_positive_and_negative_numbers():
 
 
 def test_sum_of_numbers_adds_scores():
-    assert add(number(2), number(3)) == number(5)
-    assert parse_game("2") + parse_game("3") == number(5)
+    assert add(Game(2), Game(3)) == Game(5)
+    assert parse_game("2") + parse_game("3") == Game(5)
 
 
 def test_sum_with_number_translates_options():
-    assert parse_game("{4|3|2}") + number(1) == parse_game("{5|4|3}")
+    assert parse_game("{4|3|2}") + Game(1) == parse_game("{5|4|3}")
 
 
 def test_negate_frozen_example():
@@ -347,7 +339,7 @@ def test_identity_game_shape_and_neutrality():
     assert render_game(i) == "{{0|0|0}|0|{0|0|0}}"
     assert final_scores(i) == FinalScores(Fraction(0), Fraction(0))
     assert is_impartial(i)
-    assert final_scores(number(5) + i) == FinalScores(Fraction(5), Fraction(5))
+    assert final_scores(Game(5) + i) == FinalScores(Fraction(5), Fraction(5))
 
 
 def test_generator_is_deterministic_and_impartial():
@@ -406,8 +398,8 @@ def test_render_tree_lists_each_node_after_its_parent_left_side_first():
 
 
 def chain(depth: int, leaf=0) -> Game:
-    """``number(leaf)`` wrapped ``depth`` times as a Left option."""
-    game = number(leaf)
+    """``Game(leaf)`` wrapped ``depth`` times as a Left option."""
+    game = Game(leaf)
     for _ in range(depth):
         game = Game(0, [game])
     return game
@@ -482,7 +474,7 @@ def test_final_scores_match_naive_minimax(g, h, c, rng):
     """The scores stored at construction agree with direct recursion, for
     nodes built directly with options in any order, by the parser, by the
     reflection walk and by sums."""
-    options = [g, h, number(c)]
+    options = [g, h, Game(c)]
     built = [
         g,
         Game(c, rng.sample(options, 3), rng.sample(options, 2)),
@@ -494,7 +486,7 @@ def test_final_scores_match_naive_minimax(g, h, c, rng):
         sl, sr = naive_final_scores(game)
         assert final_scores(game) == FinalScores(sl, sr)
         # a node with those two scores one move away has the same outcome
-        assert outcome(game) is outcome(Game(0, [number(sl)], [number(sr)]))
+        assert outcome(game) is outcome(Game(0, [Game(sl)], [Game(sr)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,7 +508,7 @@ def test_translate_shifts_final_scores(g, t):
 def test_adding_a_number_shifts_final_scores(g, t):
     """Summing with a move-free game just shifts both final scores."""
     sl, sr = final_scores(g)
-    assert final_scores(g + number(t)) == FinalScores(sl + t, sr + t)
+    assert final_scores(g + Game(t)) == FinalScores(sl + t, sr + t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -646,13 +638,13 @@ def test_is_impartial_matches_the_option_mirror_on_generated_games():
 
 def test_deep_chain_algebra_and_notation_need_no_recursion():
     depth = 5000
-    game = number(7)
+    game = Game(7)
     for _ in range(depth):
-        game = Game(0, [game], [number(0)])
+        game = Game(0, [game], [Game(0)])
     assert negate(game) is reflect(game, 0)
     assert reflect(reflect(game, 3), 3) is game
     assert translate(translate(game, 2), -2) is game
-    assert add(game, number(1)) is translate(game, 1)
+    assert add(game, Game(1)) is translate(game, 1)
     assert not is_impartial(game)
     assert is_impartial(Game(1, [game], [reflect(game, 2)]))
     lines = render_tree(game).splitlines()
@@ -717,7 +709,7 @@ def test_post_order_walks_a_long_chain_without_recursion():
 
 
 def _reference_order(a: Game, b: Game) -> int:
-    """game_order as first defined: recursive, over scores and option lists."""
+    """The order on games as first defined: recursive, over scores and option lists."""
     if a.score != b.score:
         return -1 if a.score < b.score else 1
     for xs, ys in ((a.left, b.left), (a.right, b.right)):
@@ -733,16 +725,19 @@ def _reference_order(a: Game, b: Game) -> int:
 @settings(max_examples=80, deadline=None)
 @given(st.lists(games, max_size=6))
 def test_sort_key_orders_like_the_reference_order(options):
-    """Canonical option order and game_order agree with the recursive definition."""
+    """Canonical option order and the ``_key`` tuples agree with the recursive
+    definition, which is total: zero only for the same game."""
     distinct = list({id(g): g for g in options}.values())
     assert Game(0, options).left == tuple(sorted(distinct, key=cmp_to_key(_reference_order)))
     for a in distinct:
         for b in distinct:
-            assert game_order(a, b) == _reference_order(a, b)
+            order = _reference_order(a, b)
+            assert (a._key > b._key) - (a._key < b._key) == order == -_reference_order(b, a)
+            assert (order == 0) == (a is b)
 
 
 def _chain(depth: int, leaf) -> Game:
-    game = number(leaf)
+    game = Game(leaf)
     for _ in range(depth):
         game = Game(0, [game])
     return game
@@ -752,7 +747,7 @@ def test_deep_chains_differing_at_the_leaf_sort_as_siblings():
     low, high = _chain(300, 0), _chain(300, 1)
     assert low is not high
     assert Game(0, [high, low]).left == (low, high)
-    assert game_order(low, high) < 0 < game_order(high, low)
+    assert low._key < high._key
     assert _chain(300, 0) is low
 
 
@@ -774,9 +769,9 @@ def test_deep_game_renders_without_recursion():
 
 
 def test_copy_deepcopy_and_pickle_return_the_interned_game():
-    deep = number(7)
+    deep = Game(7)
     for _ in range(3000):
-        deep = Game(0, [deep], [number(0)])
+        deep = Game(0, [deep], [Game(0)])
     for game in (parse_game("{2,{11|4|-3}|3|4,{9|2|-5}}"), deep):
         assert copy.copy(game) is game
         assert copy.deepcopy(game) is game

@@ -467,6 +467,11 @@ def generic_sweep(solver, max_n, var, base=Position()):
     return [solver.value(base.add_heap(var, n)) for n in range(max_n + 1)]
 
 
+def unscaled(solver, values):
+    """The values a solver's swept ints stand for."""
+    return [Fraction(v, solver.scale) for v in values]
+
+
 def budget_outcome(run, solver):
     """(error message or None, positions evaluated) after ``run(solver)``."""
     try:
@@ -482,9 +487,10 @@ NON_SPLITTING.append(rules_from_name("o3333p2"))
 
 @pytest.mark.parametrize("rules", NON_SPLITTING, ids=lambda r: r.name)
 def test_kernel_matches_evaluator_on_acceptance_rulesets(rules):
-    values = GrundySolver(rules).sweep(300)
-    assert values == generic_sweep(GrundySolver(rules), 300, rules.name)
-    assert all(type(v) is Fraction for v in values)
+    solver = GrundySolver(rules)
+    values = solver.sweep(300)
+    assert all(type(v) is int for v in values)
+    assert unscaled(solver, values) == generic_sweep(GrundySolver(rules), 300, rules.name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,8 +500,8 @@ def test_kernel_matches_evaluator_on_random_rules(rules, first, second):
     a second sweep extends or slices the first."""
     solver = GrundySolver(rules)
     reference = generic_sweep(GrundySolver(rules), max(first, second), "h")
-    assert solver.sweep(first) == reference[: first + 1]
-    assert solver.sweep(second) == reference[: second + 1]
+    assert unscaled(solver, solver.sweep(first)) == reference[: first + 1]
+    assert unscaled(solver, solver.sweep(second)) == reference[: second + 1]
     assert solver.positions_evaluated == max(first, second) + 1
 
 
@@ -503,9 +509,11 @@ def test_kernel_without_surviving_moves():
     """No digit has bit 2, so heaps past the digit count have no move."""
     rules = OctalRules("h", (1, 0, 1), (Fraction(1, 2), 0, -3))
     solver = GrundySolver(rules)
-    assert solver.sweep(8) == [0, Fraction(1, 2), 0, -3, 0, 0, 0, 0, 0]
-    assert solver._scaled_sweep(8) == [0, 1, 0, -6, 0, 0, 0, 0, 0]
-    assert solver.sweep(8) == generic_sweep(GrundySolver(rules), 8, "h")
+    values = solver.sweep(8)
+    assert values == [0, 1, 0, -6, 0, 0, 0, 0, 0]
+    assert all(type(v) is int for v in values)
+    assert unscaled(solver, values) == [0, Fraction(1, 2), 0, -3, 0, 0, 0, 0, 0]
+    assert unscaled(solver, values) == generic_sweep(GrundySolver(rules), 8, "h")
 
 
 def test_kernel_serves_a_mixed_rules_solver():
@@ -682,7 +690,7 @@ def test_scale_is_one_lcm_over_all_rulesets():
     solver = GrundySolver([HALF, TWO_THIRDS])
     assert solver.scale == 6
     assert solver.value(Position((("a", 1), ("b", 1)))) == Fraction(2, 3) - Fraction(1, 2)
-    assert solver.sweep(3, var="b") == [0, Fraction(2, 3), 0, Fraction(2, 3)]
+    assert solver.sweep(3, var="b") == [0, 4, 0, 4]  # the values times 6
 
 
 @settings(max_examples=40, deadline=None)

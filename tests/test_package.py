@@ -1,15 +1,17 @@
 """The package's public API: each module declares its names once, in its own ``__all__``."""
 
+import ast
 import inspect
 
 import pytest
 
 import scoreplay
-from scoreplay import games, octal, periods
+from scoreplay import cli, games, octal, periods
 
 MODULES = [games, octal, periods]
 
 # The names the package exported before the modules declared their own,
+# less two that only respelled ``Game(s)`` and the ``_key`` comparison,
 # plus the five that the modules raise or document but the package left out.
 PACKAGE_NAMES = {
     "BudgetExceededError", "ExpansionLimitError", "FinalScores", "Game", "GrundySolver",
@@ -17,8 +19,8 @@ PACKAGE_NAMES = {
     "PeriodReport", "Position", "RulesError", "ScanInstance", "ScanReport", "ScanRow",
     "ScanSpec", "Score", "UnknownRulesetError", "add", "as_score", "certified_start",
     "certify_period", "check_lemma", "detect_certified_period", "detect_period",
-    "final_scores", "format_score", "game_order", "generate_impartial", "identity_game",
-    "is_impartial", "iter_heap_multisets", "legal_moves", "negate", "number", "outcome",
+    "final_scores", "format_score", "generate_impartial", "identity_game",
+    "is_impartial", "iter_heap_multisets", "legal_moves", "negate", "outcome",
     "parse_game", "parse_position", "parse_rules_document", "parse_scan_spec", "parse_score",
     "reflect", "render_game", "render_position", "render_tree", "resolve_rules_ref",
     "rules_from_name", "run_scan", "scan_instance", "sequence_digest", "standard_nim",
@@ -55,3 +57,19 @@ def test_star_import_binds_exactly_the_package_names():
     exec("from scoreplay import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(scoreplay.__all__) == PACKAGE_NAMES | ADDED_NAMES
+
+
+def private_attribute_reads(module) -> list[str]:
+    """Every ``x._name`` in a module's source, dunders aside."""
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("module", [cli, periods], ids=lambda m: m.__name__)
+def test_callers_use_only_public_members(module):
+    """The CLI and the scans reach the solver through its public methods."""
+    assert private_attribute_reads(module) == []

@@ -262,8 +262,9 @@ def test_detection_over_scaled_ints_matches_fractions(rules, max_n, min_window):
     are, so detection and certification find the same report; under the
     solver's scale the digest renders the same text."""
     solver = GrundySolver(rules)
-    scaled = solver._scaled_sweep(max_n)
-    values = solver.sweep(max_n)
+    scaled = solver.sweep(max_n)
+    reference = GrundySolver(rules)
+    values = [reference.value(Position((("h", n),))) for n in range(max_n + 1)]
     assert all(type(x) is int for x in scaled)
     assert scaled == [v * solver.scale for v in values]
     assert detect_certified_period(rules, scaled, min_window) == (
