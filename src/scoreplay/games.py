@@ -16,11 +16,13 @@ __all__ = [
     "parse_game", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_game", "render_tree",
 ]
 
+import math
 import random
 import re
 import sys
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -106,8 +108,13 @@ class Game:
 
     Option sets are stored deduplicated and sorted by a total order on
     games: score first, then the left options, then the right options, each
-    list compared lexicographically with a proper prefix first.  Every
-    structurally distinct game exists once per process: building a game
+    list compared lexicographically with a proper prefix first.  Scores are
+    compared first as their nearest floats, which the interpreter compares
+    in C, and exactly only on a tie.  Rounding to the nearest float is
+    monotone, so a smaller float means a smaller score and the order is the
+    exact one.
+
+    Every structurally distinct game exists once per process: building a game
     that is structurally equal to a live one returns that very object,
     however either was built.  So structurally equal games are the same
     object (``is``), and equality is identity.  The intern table holds
@@ -134,21 +141,32 @@ class Game:
         num, den = score.numerator, score.denominator
         key = (num, den, left, right)
         with _INTERN_LOCK:
-            node = _INTERNED.get(key)
+            ref = _INTERNED.get(key)
+            node = None if ref is None else ref()
             if node is None:
                 node = object.__new__(cls)
                 node.score, node.left, node.right = score, left, right
                 # The key tuples carry the order on games: score, then the
                 # left and then the right option lists lexicographically, a
-                # proper prefix first.  An integral score sorts as an int,
-                # which compares faster and exactly with Fractions.
+                # proper prefix first.  The score comes twice.  First as the
+                # nearest float, ±inf past the float range: int division
+                # rounds correctly and rounding is monotone, so a smaller
+                # float is a smaller score, and floats compare in C.  Equal
+                # floats fall through to the exact score, an int when
+                # integral, which compares faster and exactly with Fractions.
+                try:
+                    near = num / den
+                except OverflowError:
+                    near = math.inf if num > 0 else -math.inf
                 first = num if den == 1 else score
-                node._key = (first, tuple(o._key for o in left), tuple(o._key for o in right))
+                node._key = (near, first, tuple([o._key for o in left]), tuple([o._key for o in right]))
                 # The options were built first, so their scores are known:
                 # one step of the minimax, in the same int-or-Fraction form.
                 node._sl = max([o._sr for o in left]) if left else first
                 node._sr = min([o._sl for o in right]) if right else first
-                _INTERNED[key] = node
+                ref = _InternRef(node, _forget)
+                ref.key = key
+                _INTERNED[key] = ref
         return node
 
     def __init__(self, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
@@ -220,9 +238,25 @@ def _from_post_order(nodes) -> Game:
     return built[-1]
 
 
-# (numerator, denominator, left, right) -> the live node.  The lock makes
-# lookup and insertion one step; the table's removal callbacks never take it.
-_INTERNED: weakref.WeakValueDictionary[tuple, Game] = weakref.WeakValueDictionary()
+class _InternRef(weakref.ref):
+    """A weak reference to an interned node that carries the node's table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _InternRef) -> None:
+    """Drop a dead node's table entry, unless a live node took its key.
+
+    Removal only if the entry is a dead reference is one step in C, so a
+    late callback never drops a live node interned again under its key.
+    """
+    _remove_dead_weakref(_INTERNED, ref.key)
+
+
+# (numerator, denominator, left, right) -> a weak reference to the live node.
+# The lock makes lookup and insertion one step; the removal callbacks never
+# take it.
+_INTERNED: dict[tuple, _InternRef] = {}
 _INTERN_LOCK = threading.Lock()
 
 
@@ -370,13 +404,16 @@ def is_impartial(game: Game) -> bool:
     """Do both players hold mirror-image move sets at the root?
 
     The left options must be the right options reflected about twice the
-    root score.  Reflecting the whole game about that keeps the root score
-    and maps the right options onto the left ones, and reflection is an
-    involution, so the game comes back exactly when its root is impartial;
-    equal games are one object, so ``is`` compares structure.  Games with
-    options on exactly one side are never impartial.
+    root score, and the right options the left ones reflected.  Reflection
+    about a fixed score is an injective involution, so the first implies
+    the second: reflecting both sides of ``left == reflected right`` gives
+    ``reflected left == right``.  So only the right options are reflected,
+    in one walk: ``Game(score, (), right)`` reflected about twice the score
+    has them, reflected, as its left options.  Equal games are one object,
+    so comparing the option tuples compares structure.  Games with options
+    on exactly one side are never impartial.
     """
-    return reflect(game, 2 * game.score) is game
+    return reflect(Game(game.score, (), game.right), 2 * game.score).left == game.left
 
 
 def identity_game() -> Game:

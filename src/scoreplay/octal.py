@@ -306,7 +306,12 @@ def _require_position(position) -> None:
         raise TypeError(f"expected a Position, got {type(position).__name__}")
 
 
-def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Mapping[str, Sequence]) -> list:
+def _next_moves(
+    position: Position,
+    rules: Mapping[str, OctalRules],
+    awards: Mapping[str, Sequence],
+    limit: int | None = None,
+) -> list | None:
     """All distinct ``(award, next position)`` pairs from a position, sorted.
 
     ``awards[name][k-1]`` is the award for removing k beans from a heap of
@@ -314,6 +319,11 @@ def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Map
     heaps are canonical already, so each next position is sorted here and
     built once, without the constructor's checks.  Anything but a
     :class:`Position` is refused: a plain tuple may not be canonical.
+
+    Distinct moves reach distinct positions: the heaps left say which heap
+    was taken from, how many beans and how it split.  With a ``limit``,
+    returns None once the moves provably number more than ``limit``, so one
+    huge heap is refused before its splits are built.
     """
     _require_position(position)
     make = tuple.__new__
@@ -332,8 +342,12 @@ def _next_moves(position: Position, rules: Mapping[str, OctalRules], awards: Map
             if digit & 2 and rest:
                 found.add((award, make(Position, sorted(others + ((ruleset_id, rest),)))))
             if digit & 4:
+                if limit is not None and len(found) + rest // 2 > limit:
+                    return None  # the splits below are new and distinct
                 for small in range(1, rest // 2 + 1):
                     found.add((award, make(Position, sorted(others + ((ruleset_id, small), (ruleset_id, rest - small))))))
+            if limit is not None and len(found) > limit:
+                return None
     return sorted(found)
 
 
@@ -356,7 +370,9 @@ class GrundySolver:
     position left behind; positions without moves are worth zero.  One memo
     table serves every query, so sweeps share work.  The ``budget`` is
     cumulative per solver, not per query: it caps the memo and the sweep
-    tables together.  None means no cap; a negative budget is refused.
+    tables together.  None means no cap; a negative budget is refused.  A
+    position with more moves than the budget has room for is refused
+    before its moves are built, as every one of them would be held.
     Not thread-safe: give each worker its own solver (values do not depend
     on evaluation order).
 
@@ -417,13 +433,17 @@ class GrundySolver:
         budget = self.budget
         rules, awards = self.rules, self._awards
         tabled = sum(map(len, self._tables.values()))  # the tables do not change in here
+        # Every next position of a position is valued before it, so a
+        # position with more than ``budget - tabled`` moves exceeds the
+        # budget anyway: it is refused before its moves are built.
+        room = None if budget is None else budget - tabled
         # each list lives only until its position is valued: keeping them
         # all would hold every move of every position reached
         pending_moves: dict[Position, list[tuple[int, Position]]] = {}
 
         def next_positions(pos: Position) -> list[Position]:
-            moves = pending_moves[pos] = _next_moves(pos, rules, awards)
-            if budget is not None and tabled + len(values) + len(pending_moves) > budget:
+            moves = pending_moves[pos] = _next_moves(pos, rules, awards, room)
+            if moves is None or budget is not None and tabled + len(values) + len(pending_moves) > budget:
                 raise self._budget_error(position)
             return [nxt for _, nxt in moves]
 

@@ -1,8 +1,10 @@
 """Command-line behavior: exact stdout lines, exit codes, file outputs."""
 
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -366,6 +368,41 @@ def test_lemma_sweeps_under_the_default_budget(run):
         "",
         "error: position budget exceeded (1000000 positions) evaluating 1000000@sub45\n",
     )
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["gs", "--rules", "o26", "--position", "100000000@o26", "--budget", "10"],
+            "error: position budget exceeded (10 positions) evaluating 100000000@o26\n",
+        ),
+        (
+            ["oracle", "--rules", "o26", "--max-total", "99999999999999999999999"],
+            "error: position budget exceeded (1000000 positions) evaluating 99999999999999999999999@o26\n",
+        ),
+    ],
+    ids=["gs", "oracle"],
+)
+def test_a_huge_splitting_heap_fails_with_a_budget_error(argv, message):
+    """The heap's splits would not fit in memory, and they would exceed the
+    budget anyway, so they are refused before they are built.  The child
+    runs under a 1 GiB address-space cap, so a regression fails fast."""
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "scoreplay", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    elapsed = time.perf_counter() - started
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+    assert elapsed < 5  # a fresh interpreter included; the refusal itself takes milliseconds
 
 
 def test_lemma_refuses_a_bad_amount(run):

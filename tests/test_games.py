@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unittest.mock import patch
@@ -629,6 +629,34 @@ def test_is_impartial_matches_the_reference(g, s, lefts, which):
     assert is_impartial(perturbed) == ref_is_impartial(perturbed) == mirror_is_impartial(perturbed)
 
 
+def self_reflection_is_impartial(game: Game) -> bool:
+    """Impartiality as a whole-game check: the game is its own reflection."""
+    return reflect(game, 2 * game.score) is game
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+    games,
+    st.integers(0, 2),
+    st.sampled_from(["left", "right"]),
+)
+def test_is_impartial_matches_self_reflection(seed, depth, extra, which, side):
+    """Generated impartial games, and the same games with one option
+    dropped from or added to one side."""
+    game = generate_impartial(max_depth=depth, max_branch=3, seed=seed)
+    left, right = list(game.left), list(game.right)
+    changed = left if side == "left" else right
+    variants = [game, Game(game.score, left + [extra] * (side == "left"), right + [extra] * (side == "right"))]
+    if changed:
+        del changed[which % len(changed)]
+        variants.append(Game(game.score, left, right))
+    assert is_impartial(game)
+    for variant in variants:
+        assert is_impartial(variant) == self_reflection_is_impartial(variant)
+
+
 def test_is_impartial_matches_the_option_mirror_on_generated_games():
     for seed in range(40):
         game = generate_impartial(max_depth=3, max_branch=3, seed=seed)
@@ -722,11 +750,30 @@ def _reference_order(a: Game, b: Game) -> int:
     return 0
 
 
+# Scores whose nearest floats overflow, underflow or tie: the order hint in
+# ``_key`` must leave their order to the exact scores.
+_HUGE = 10**400
+_TINY = Fraction(1, 10**400)
+_THIRD, _EPS = Fraction(1, 3), Fraction(1, 10**30)
+_FLOAT_EDGE_SCORES = [
+    _HUGE, _HUGE + 1, -_HUGE, -_HUGE - 1, Fraction(_HUGE, 3), Fraction(_HUGE + 1, 3),
+    _TINY, 2 * _TINY, -_TINY, -2 * _TINY, 0,
+    2**53, 2**53 + 1, -(2**53), -(2**53) - 1,
+    _THIRD - _EPS, _THIRD, _THIRD + _EPS,
+]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(games, max_size=6))
+@example([Game(x) for x in _FLOAT_EDGE_SCORES])
+@example([Game(0, [Game(x)], [Game(-x)]) for x in _FLOAT_EDGE_SCORES])
+@example([Game(x, [Game(_HUGE)]) for x in (_HUGE, _HUGE + 1)] + [Game(_HUGE, [Game(_HUGE + 1)])])
+@example([Game(_THIRD, [Game(y)]) for y in (_THIRD - _EPS, _THIRD + _EPS, 2 * _TINY, _TINY)])
 def test_sort_key_orders_like_the_reference_order(options):
     """Canonical option order and the ``_key`` tuples agree with the recursive
-    definition, which is total: zero only for the same game."""
+    definition, which is total: zero only for the same game.  The explicit
+    examples put scores that share a float, or have none, side by side,
+    at the root and one level down."""
     distinct = list({id(g): g for g in options}.values())
     assert Game(0, options).left == tuple(sorted(distinct, key=cmp_to_key(_reference_order)))
     for a in distinct:
@@ -785,6 +832,27 @@ def test_interned_games_die_with_their_last_reference():
     assert len(_INTERNED) == before + 5
     del game
     gc.collect()
+    assert len(_INTERNED) == before
+
+
+def test_a_late_removal_callback_keeps_a_node_interned_again():
+    """A dead node's callback that runs only after its key was interned
+    again leaves the live entry in place."""
+    text = "{3001/7|3002/7|3003/7}"
+    game = parse_game(text)
+    key = (3002, 7, game.left, game.right)  # holds the options, not the root
+    old = _INTERNED[key]
+    callback = old.__callback__  # cleared once it has run
+    assert old() is game
+    gc.collect()
+    before = len(_INTERNED)
+    del game
+    gc.collect()
+    assert old() is None and key not in _INTERNED
+    again = parse_game(text)
+    callback(old)  # as if the dead node's callback ran only now
+    assert _INTERNED[key]() is again
+    assert Game(Fraction(3002, 7), again.left, again.right) is again
     assert len(_INTERNED) == before
 
 

@@ -565,11 +565,16 @@ def test_generic_sweeps_keep_their_memo_growth(rules, base):
 
 class FractionReference:
     """``value`` and ``best_moves`` in Fraction arithmetic, the loop the
-    solver ran before it scaled values to ints, budget check included."""
+    solver ran before it scaled values to ints, budget check included.
 
-    def __init__(self, rules, budget=None):
+    With ``count_moves``, a position with more moves than the budget is
+    refused when it is reached, as the solver refuses it; without, the walk
+    goes on until the positions held exceed the budget."""
+
+    def __init__(self, rules, budget=None, count_moves=True):
         self.rules = rules
         self.budget = budget
+        self.count_moves = count_moves
         self.values = {}
 
     @property
@@ -591,7 +596,10 @@ class FractionReference:
             if moves is None:
                 moves = legal_moves(pos, self.rules)
                 pending_moves[pos] = moves
-                if self.budget is not None and len(values) + len(pending_moves) > self.budget:
+                if self.budget is not None and (
+                    len(values) + len(pending_moves) > self.budget
+                    or self.count_moves and len(moves) > self.budget
+                ):
                     raise BudgetExceededError(
                         f"position budget exceeded ({self.budget} positions) "
                         f"evaluating {render_position(position)}"
@@ -693,16 +701,71 @@ def test_scale_is_one_lcm_over_all_rulesets():
     assert solver.sweep(3, var="b") == [0, 4, 0, 4]  # the values times 6
 
 
+O26 = rules_from_name("o26")
+SPLITS = OctalRules("a", (7, 7, 7, 7), (1, 1, 1, 1))
+TAKE_ONE = OctalRules("b", (1,), (1,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(rules_named("a"), rules_named("b"), two_ruleset_heaps, st.integers(0, 30))
+@example(SPLITS, TAKE_ONE, [("a", 5), ("b", 4)], 5)  # 8 moves; the full walk values 1 position first
+@example(SPLITS, TAKE_ONE, [("a", 5), ("a", 4)], 12)
 def test_budget_errors_match_fraction_reference(a, b, heaps, budget):
+    """The same error and the same memo as the reference, which refuses a
+    position with too many moves as the solver does.  The reference's full
+    walk, without that check, fails with the same error: every next
+    position is held before the position itself is valued."""
     rules = (a, b)
     position = Position(tuple(heaps))
     ask = lambda solver: solver.value(position)  # noqa: E731
     solver = GrundySolver(rules, budget=budget)
     reference = FractionReference(rules, budget=budget)
-    assert budget_outcome(ask, solver) == budget_outcome(ask, reference)
+    outcome = budget_outcome(ask, reference)
+    assert budget_outcome(ask, solver) == outcome
     assert list(solver._values) == list(reference.values)  # where a budget trips depends on it
+    full_walk = FractionReference(rules, budget=budget, count_moves=False)
+    assert budget_outcome(ask, full_walk)[0] == outcome[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules_named("a"), rules_named("b"), two_ruleset_heaps, st.integers(0, 40))
+@example(SPLITS, TAKE_ONE, [("a", 5), ("a", 4)], 14)  # 14 moves, 6 of them splits
+@example(SPLITS, TAKE_ONE, [("a", 5), ("a", 4)], 13)
+@example(SPLITS, TAKE_ONE, [("a", 5), ("b", 4)], 8)
+@example(SPLITS, TAKE_ONE, [("a", 5), ("b", 4)], 7)
+def test_move_limit_refuses_exactly_the_positions_with_more_moves(a, b, heaps, limit):
+    """``_next_moves`` gives up only when the full move list is longer
+    than the limit, which holds only if a take's splits are all new."""
+    solver = GrundySolver((a, b))
+    position = Position(tuple(heaps))
+    moves = octal._next_moves(position, solver.rules, solver._awards)
+    limited = octal._next_moves(position, solver.rules, solver._awards, limit)
+    assert limited == (None if len(moves) > limit else moves)
+
+
+def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(monkeypatch):
+    """2000@o26 has 1,001 moves, more than a budget of 10 can hold, so its
+    move list is never built.  (The CLI tests run a heap of 10**8 beans
+    under a memory cap.)"""
+    built = []
+    next_moves = octal._next_moves
+
+    def recording_next_moves(*args):
+        built.append(next_moves(*args))
+        return built[-1]
+
+    monkeypatch.setattr(octal, "_next_moves", recording_next_moves)
+    solver = GrundySolver(O26, budget=10)
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(10 positions\) evaluating 2000@o26$"):
+        solver.value(heap(2000, O26))
+    assert built == [None]
+    assert solver.positions_evaluated == 0
+    # with fewer moves than the budget, it trips as before, once positions are held
+    small = GrundySolver(O26, budget=10)
+    with pytest.raises(BudgetExceededError, match=r"evaluating 12@o26$"):
+        small.value(heap(12, O26))
+    assert None not in built[1:]
+    assert small.positions_evaluated > 0
 
 
 def test_to_game_generates_each_positions_moves_once(monkeypatch):
