@@ -383,9 +383,12 @@ class GrundySolver:
     :meth:`sweep` returns each value times ``scale``.  One value or move
     comes back as a Fraction: :meth:`value`, :meth:`best_moves` and the
     scores of :meth:`to_game`, one Fraction per distinct value.
-    :meth:`to_game` generates each position's moves once and expands one
-    node per class of positions and running score; it and :meth:`value`
-    each drop a position's moves as soon as they are done with them.
+
+    :meth:`value`, :meth:`best_moves` and :meth:`to_game` walk positions
+    through one generator, which builds each position's moves once and
+    drops them as soon as the position is done.  :meth:`to_game` expands
+    one node per class of positions and running score; a class is its
+    interned shape.
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
@@ -401,12 +404,11 @@ class GrundySolver:
         self._values: dict[Position, int] = {}
         # single-heap values of non-splitting rulesets (see sweep)
         self._tables: dict[str, list[int]] = {}
-        # to_game's expansion: each position's class id, each class's id by
-        # its shape and its shape by id, and one node per class and running score
-        self._class_of: dict[Position, int] = {}
-        self._class_ids: dict[frozenset[tuple[int, int]], int] = {}
-        self._class_moves: list[frozenset[tuple[int, int]]] = []
-        self._games: dict[tuple[int, int], Game] = {}
+        # to_game's expansion: each position's class, each class interned as
+        # its shape, and one node per class and running score
+        self._class_of: dict[Position, frozenset] = {}
+        self._classes: dict[frozenset, frozenset] = {}
+        self._games: dict[tuple[frozenset, int], Game] = {}
         # a scaled int x as Fraction(x, scale), built once per x
         self._as_fraction = cache(partial(Fraction, denominator=self.scale))
 
@@ -419,8 +421,7 @@ class GrundySolver:
         self._values.clear()
         self._tables.clear()
         self._class_of.clear()
-        self._class_ids.clear()
-        self._class_moves.clear()
+        self._classes.clear()
         self._games.clear()
         self._as_fraction.cache_clear()
 
@@ -430,40 +431,48 @@ class GrundySolver:
 
     def _scaled_value(self, position: Position) -> int:
         values = self._values
-        budget = self.budget
-        rules, awards = self.rules, self._awards
-        tabled = sum(map(len, self._tables.values()))  # the tables do not change in here
         # Every next position of a position is valued before it, so a
-        # position with more than ``budget - tabled`` moves exceeds the
-        # budget anyway: it is refused before its moves are built.
-        room = None if budget is None else budget - tabled
-        # each list lives only until its position is valued: keeping them
-        # all would hold every move of every position reached
-        pending_moves: dict[Position, list[tuple[int, Position]]] = {}
-
-        def next_positions(pos: Position) -> list[Position]:
-            moves = pending_moves[pos] = _next_moves(pos, rules, awards, room)
-            if moves is None or budget is not None and tabled + len(values) + len(pending_moves) > budget:
-                raise self._budget_error(position)
-            return [nxt for _, nxt in moves]
-
-        for pos in _post_order(position, values, next_positions):
-            values[pos] = max((award - values[nxt] for award, nxt in pending_moves.pop(pos)), default=0)
+        # position with more than ``room`` moves exceeds the budget anyway:
+        # _expand refuses it before its moves are built.
+        room = None if self.budget is None else self.budget - sum(map(len, self._tables.values()))
+        for pos, moves in self._expand(position, values, room):
+            values[pos] = max((award - values[nxt] for award, nxt in moves), default=0)
         return values[position]
 
     def best_moves(self, position: Position) -> list[MoveOutcome]:
         """Moves achieving the optimal value, in canonical order."""
+        best = self._scaled_value(position)
         moves = _next_moves(position, self.rules, self._awards)
         if not moves:
             raise ValueError(f"no legal moves from {render_position(position)}")
-        results = [award - self._scaled_value(nxt) for award, nxt in moves]
-        best = max(results)
-        as_fraction = self._as_fraction
+        values, as_fraction = self._values, self._as_fraction
         return [
-            MoveOutcome(as_fraction(award), nxt)
-            for (award, nxt), result in zip(moves, results)
-            if result == best
+            MoveOutcome(as_fraction(award), nxt) for award, nxt in moves if award - values[nxt] == best
         ]
+
+    def _expand(
+        self, root: Position, done: Collection[Position], room: int | None = None
+    ) -> Iterator[tuple[Position, list[tuple[int, Position]]]]:
+        """``(position, moves)`` for each position under ``root`` not in ``done``, next positions first.
+
+        The caller adds each yielded position to ``done`` before asking for
+        the next.  A position's moves are held only until it is yielded:
+        keeping them all would hold every move of every position reached.
+        With a ``room``, the positions in ``done`` and those waiting on
+        their next positions may number at most ``room``, and a position
+        with more moves than that is refused before they are built.
+        """
+        rules, awards = self.rules, self._awards
+        pending: dict[Position, list[tuple[int, Position]]] = {}
+
+        def next_positions(pos: Position) -> list[Position]:
+            moves = pending[pos] = _next_moves(pos, rules, awards, room)
+            if moves is None or room is not None and len(done) + len(pending) > room:
+                raise self._budget_error(root)
+            return [nxt for _, nxt in moves]
+
+        for pos in _post_order(root, done, next_positions):
+            yield pos, pending.pop(pos)
 
     def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[int]:
         """Values of ``base`` plus one growing heap, for sizes 0..max_n, each times ``scale``.
@@ -533,9 +542,9 @@ class GrundySolver:
         not apply here.
 
         Nodes are keyed by a position's class and the running score.  A
-        class is interned from a position's shape, the set of ``(award,
-        class of next position)`` over its moves, so dead heaps and heaps
-        with the same moves fall into one class.  Each key is one node and
+        class is a position's shape, interned: the set of ``(award, class
+        of next position)`` over its moves, so dead heaps and heaps with
+        the same moves fall into one class.  Each key is one node and
         each node one key, by induction on the longest play from a class:
 
         - Two positions of one class expand to the same node at every
@@ -554,45 +563,26 @@ class GrundySolver:
             raise ExpansionLimitError(
                 f"position has {position.total} beans, expansion bound is {max_total}"
             )
-        root = self._classify(position)
+        class_of, classes = self._class_of, self._classes
+        for pos, moves in self._expand(position, class_of):
+            shape = frozenset([(award, class_of[nxt]) for award, nxt in moves])
+            class_of[pos] = classes.setdefault(shape, shape)
+        root = class_of[position]
         games = self._games
-        class_moves = self._class_moves
         as_fraction = self._as_fraction
 
-        def options(key: tuple[int, int]) -> list[tuple[int, int]]:
+        def options(key: tuple[frozenset, int]) -> list[tuple[frozenset, int]]:
             cls, offset = key
-            return [(nxt, offset + sign * award) for award, nxt in class_moves[cls] for sign in (1, -1)]
+            return [(nxt, offset + sign * award) for award, nxt in cls for sign in (1, -1)]
 
         for key in _post_order((root, 0), games, options):
             cls, offset = key
-            moves = class_moves[cls]
             games[key] = Game(
                 as_fraction(offset),
-                [games[nxt, offset + award] for award, nxt in moves],
-                [games[nxt, offset - award] for award, nxt in moves],
+                [games[nxt, offset + award] for award, nxt in cls],
+                [games[nxt, offset - award] for award, nxt in cls],
             )
         return games[root, 0]
-
-    def _classify(self, position: Position) -> int:
-        """The class id of ``position``, after classing every position under it.
-
-        Each position's moves are generated once, and dropped as soon as
-        its class is known.
-        """
-        class_of, class_ids, class_moves = self._class_of, self._class_ids, self._class_moves
-        rules, awards = self.rules, self._awards
-        pending_moves: dict[Position, list[tuple[int, Position]]] = {}
-
-        def next_positions(pos: Position) -> list[Position]:
-            moves = pending_moves[pos] = _next_moves(pos, rules, awards)
-            return [nxt for _, nxt in moves]
-
-        for pos in _post_order(position, class_of, next_positions):
-            shape = frozenset([(award, class_of[nxt]) for award, nxt in pending_moves.pop(pos)])
-            cls = class_of[pos] = class_ids.setdefault(shape, len(class_ids))
-            if cls == len(class_moves):
-                class_moves.append(shape)
-        return class_of[position]
 
     def _resolve_var(self, var: str | None) -> str:
         if var is None:

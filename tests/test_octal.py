@@ -745,8 +745,9 @@ def test_move_limit_refuses_exactly_the_positions_with_more_moves(a, b, heaps, l
 
 def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(monkeypatch):
     """2000@o26 has 1,001 moves, more than a budget of 10 can hold, so its
-    move list is never built.  (The CLI tests run a heap of 10**8 beans
-    under a memory cap.)"""
+    move list is never built.  ``best_moves`` values the position before
+    it lists the root's moves, so it refuses the position as ``value``
+    does.  (The CLI tests run a heap of 10**8 beans under a memory cap.)"""
     built = []
     next_moves = octal._next_moves
 
@@ -755,17 +756,19 @@ def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(m
         return built[-1]
 
     monkeypatch.setattr(octal, "_next_moves", recording_next_moves)
-    solver = GrundySolver(O26, budget=10)
-    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(10 positions\) evaluating 2000@o26$"):
-        solver.value(heap(2000, O26))
-    assert built == [None]
-    assert solver.positions_evaluated == 0
-    # with fewer moves than the budget, it trips as before, once positions are held
-    small = GrundySolver(O26, budget=10)
-    with pytest.raises(BudgetExceededError, match=r"evaluating 12@o26$"):
-        small.value(heap(12, O26))
-    assert None not in built[1:]
-    assert small.positions_evaluated > 0
+    for ask in ("value", "best_moves"):
+        built.clear()
+        solver = GrundySolver(O26, budget=10)
+        with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(10 positions\) evaluating 2000@o26$"):
+            getattr(solver, ask)(heap(2000, O26))
+        assert built == [None], ask
+        assert solver.positions_evaluated == 0, ask
+        # with fewer moves than the budget, it trips as before, once positions are held
+        small = GrundySolver(O26, budget=10)
+        with pytest.raises(BudgetExceededError, match=r"evaluating 12@o26$"):
+            getattr(small, ask)(heap(12, O26))
+        assert None not in built[1:], ask
+        assert small.positions_evaluated > 0, ask
 
 
 def test_to_game_generates_each_positions_moves_once(monkeypatch):
@@ -773,9 +776,9 @@ def test_to_game_generates_each_positions_moves_once(monkeypatch):
 
     next_moves = octal._next_moves
 
-    def counting_next_moves(position, rules, awards):
+    def counting_next_moves(position, *args):
         calls[position] += 1
-        return next_moves(position, rules, awards)
+        return next_moves(position, *args)
 
     monkeypatch.setattr(octal, "_next_moves", counting_next_moves)
     solver = GrundySolver(rules_from_name("o26"))
@@ -786,10 +789,12 @@ def test_to_game_generates_each_positions_moves_once(monkeypatch):
 
 
 def test_value_keeps_no_move_lists():
-    """Move lists live only while ``value`` runs; kept, they would hold
-    every move of every position the memo reaches."""
+    """Move lists live only while ``value``, ``best_moves`` or ``to_game``
+    runs; kept, they would hold every move of every position reached."""
     solver = GrundySolver(rules_from_name("o26"))
     solver.value(Position((("o26", 20),)))
+    solver.best_moves(Position((("o26", 22),)))
+    solver.to_game(Position((("o26", 12),)))
     for name, attr in vars(solver).items():
         if isinstance(attr, dict):
             assert not any(isinstance(v, list) for v in attr.values()), name
@@ -863,7 +868,15 @@ def test_expansion_builds_one_node_per_key():
             solver.value(position)
             solver.to_game(position, max_total=10)
         assert len(solver._games) == len(set(solver._games.values())), rules.name
-        assert len(solver._class_moves) < len(solver._class_of), rules.name
+        assert len(solver._classes) < len(solver._class_of), rules.name
+
+
+def test_to_game_is_outside_the_budget():
+    """``to_game`` is bounded by ``max_total``, not by the budget: a solver
+    with no room at all builds the same node and values no position."""
+    solver = GrundySolver(O26, budget=0)
+    assert solver.to_game(heap(8, O26)) is GrundySolver(O26).to_game(heap(8, O26))
+    assert solver.positions_evaluated == 0
 
 
 def test_a_dropped_solver_frees_its_nodes():
@@ -888,7 +901,7 @@ def test_clear_cache_empties_the_class_tables():
     position = parse_position("5@band,3@band,1@band")
     game = solver.to_game(position)
     solver.clear_cache()
-    assert not (solver._class_of or solver._class_ids or solver._class_moves or solver._games)
+    assert not (solver._class_of or solver._classes or solver._games)
     assert solver.to_game(position) is game
 
 
