@@ -28,7 +28,6 @@ from scoreplay.octal import (
     Position,
     _normalize_rules,
     iter_heap_multisets,
-    legal_moves,
     parse_position,
     render_position,
     resolve_rules_ref,
@@ -181,10 +180,10 @@ def _cmd_gs(args) -> int:
     position = parse_position(args.position, known=rules)
     solver = GrundySolver(rules.values(), budget=args.budget)
     print(f"value={format_score(solver.value(position))}")
-    if not legal_moves(position, rules.values()):
+    moves = solver.best_moves(position)
+    if not moves:
         print("best=none")
-        return 0
-    for move in solver.best_moves(position):
+    for move in moves:
         taken = position.total - move.next.total
         print(
             f"best: take={taken} points={format_score(move.points)} "

@@ -316,16 +316,15 @@ def _next_moves(
 
     ``awards[name][k-1]`` is the award for removing k beans from a heap of
     ruleset ``name``, in whatever units the caller counts points.  The
-    heaps are canonical already, so each next position is sorted here and
-    built once, without the constructor's checks.  Anything but a
-    :class:`Position` is refused: a plain tuple may not be canonical.
+    entry points refuse anything but a :class:`Position`, so the heaps are
+    canonical already: each next position is sorted here and built once,
+    without the constructor's checks.
 
     Distinct moves reach distinct positions: the heaps left say which heap
     was taken from, how many beans and how it split.  With a ``limit``,
     returns None once the moves provably number more than ``limit``, so one
     huge heap is refused before its splits are built.
     """
-    _require_position(position)
     make = tuple.__new__
     found = set()
     for index, (ruleset_id, size) in enumerate(position):
@@ -355,8 +354,9 @@ def legal_moves(position: Position, rules: OctalRules | Iterable[OctalRules]) ->
     """All distinct moves from a position, in canonical order.
 
     Moves that award the same points and reach the same position are merged,
-    e.g. taking either of two equal heaps.
+    e.g. taking either of two equal heaps.  A plain tuple is refused.
     """
+    _require_position(position)
     rules = _normalize_rules(rules)
     points = {name: ruleset.points for name, ruleset in rules.items()}
     return [MoveOutcome(*move) for move in _next_moves(position, rules, points)]
@@ -384,11 +384,11 @@ class GrundySolver:
     comes back as a Fraction: :meth:`value`, :meth:`best_moves` and the
     scores of :meth:`to_game`, one Fraction per distinct value.
 
-    :meth:`value`, :meth:`best_moves` and :meth:`to_game` walk positions
-    through one generator, which builds each position's moves once and
-    drops them as soon as the position is done.  :meth:`to_game` expands
-    one node per class of positions and running score; a class is its
-    interned shape.
+    :meth:`value` and :meth:`to_game` walk positions through one
+    generator, which builds each position's moves once and drops them as
+    soon as the position is done.  :meth:`to_game` expands one node per
+    class of positions and running score; a class is its interned shape.
+    Every entry point refuses anything but a :class:`Position`.
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
@@ -417,19 +417,12 @@ class GrundySolver:
         """Positions memoized by :meth:`value`, plus single-heap table entries."""
         return len(self._values) + sum(map(len, self._tables.values()))
 
-    def clear_cache(self) -> None:
-        self._values.clear()
-        self._tables.clear()
-        self._class_of.clear()
-        self._classes.clear()
-        self._games.clear()
-        self._as_fraction.cache_clear()
-
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
         return self._as_fraction(self._scaled_value(position))
 
     def _scaled_value(self, position: Position) -> int:
+        _require_position(position)
         values = self._values
         # Every next position of a position is valued before it, so a
         # position with more than ``room`` moves exceeds the budget anyway:
@@ -440,14 +433,15 @@ class GrundySolver:
         return values[position]
 
     def best_moves(self, position: Position) -> list[MoveOutcome]:
-        """Moves achieving the optimal value, in canonical order."""
-        best = self._scaled_value(position)
-        moves = _next_moves(position, self.rules, self._awards)
-        if not moves:
-            raise ValueError(f"no legal moves from {render_position(position)}")
-        values, as_fraction = self._values, self._as_fraction
+        """The legal moves that reach the position's value, in canonical order.
+
+        Empty without moves.  Valuing the position first refuses one with
+        more moves than the budget has room for before they are listed.
+        """
+        best = self.value(position)
         return [
-            MoveOutcome(as_fraction(award), nxt) for award, nxt in moves if award - values[nxt] == best
+            move for move in legal_moves(position, self.rules.values())
+            if move.points - self.value(move.next) == best
         ]
 
     def _expand(

@@ -1,18 +1,23 @@
 """Command-line behavior: exact stdout lines, exit codes, file outputs."""
 
+import io
 import re
 import resource
 import subprocess
 import sys
 import time
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scoreplay import periods
+from scoreplay import octal, periods
 from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS
-from scoreplay.octal import GrundySolver
+from scoreplay.octal import GrundySolver, Position
 from support import ALIKE_TOO_DEEP, INT_DIGIT_LIMIT
 
 
@@ -178,6 +183,24 @@ def test_gs_without_moves(run):
     code, out, _ = run("gs", "--rules", "sub45", "--position", "-")
     assert code == 0
     assert out == "value=0\nbest=none\n"
+
+
+def test_gs_builds_the_roots_moves_twice_and_every_other_positions_once(run, monkeypatch):
+    """``value`` builds each position's moves once; ``best_moves`` lists the
+    root's moves once more to keep those that reach the value."""
+    calls = Counter()
+    next_moves = octal._next_moves
+
+    def counting_next_moves(position, *args):
+        calls[position] += 1
+        return next_moves(position, *args)
+
+    monkeypatch.setattr(octal, "_next_moves", counting_next_moves)
+    code, out, err = run("gs", "--rules", "o26", "--position", "40@o26")
+    assert (code, err) == (0, "")
+    assert out.startswith("value=")
+    assert calls.pop(Position((("o26", 40),))) == 2
+    assert set(calls.values()) == {1}
 
 
 def test_gs_accepts_inline_rules_and_multiple_heaps(run):
@@ -590,3 +613,139 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "sl=4 sr=2 outcome=L impartial=true\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed command lines
+#
+# Each subcommand gets argv from a fixed grammar of good and bad values:
+# bad rules documents, ``1/0`` scores, missing files, negative bounds, and
+# huge sizes, each paired with a budget of at most 1,000 so a run stays
+# small.  ``@DIR@`` stands for a directory of rules files and scan specs.
+
+HUGE = st.sampled_from([10**8, 10**20])
+RULES_REFS = st.one_of(
+    st.sampled_from([
+        "sub45", "o26", "o3333p2", "nim:3", "sub:1,2", "name: q; digits: 3 6 2; points: 1/2 2 -1",
+        "@DIR@/good.rules",
+    ]),
+    st.sampled_from([
+        "@DIR@/bad.rules", "@DIR@/absent.rules", "name: x; digits: 3; points: 1/0",
+        "name: x; digits: 9; points: 1", "name: x; digits: 1 2; points: 1", "digits: 3; points: 1",
+        "name: a b; digits: 3; points: 1", "name: x; digits: 0; points: 0",
+        "sub:0", "sub:x", "nim:0", "nim:-3", "nim:300000000", "sub54", "mystery", "",
+    ]),
+)
+HEAP_NAMES = st.sampled_from(["sub45", "o26", "o3333p2", "nim3", "sub12", "q", "good", "mystery", "sub54"])
+JUNK_TERMS = st.sampled_from(["", "x@sub45", "-1@o26", "1/0@o26", "3@", "@o26"])
+GAMES = st.sampled_from([
+    "{4|3|2}", "-3/2", "-0.5", "{1/2|0|-1/2}", "{1/0|0|0}", "1/0", "{4|3}", "{4|3|2", "{", "", "x",
+    "{1|0|-1}", "{{0|0|0}|0|{0|0|0}}", "{2,{11|4|-3}|3|4,{9|2|-5}}", "{" * 20 + "0" + "|0|0}" * 20,
+])
+# A sum of two chains this deep takes about 0.7 s, so only eval and tree draw it.
+DEEP_CHAIN = "{" * 60 + "0" + "|0|0}" * 60
+SPEC_LINES = st.one_of(
+    st.sampled_from([
+        "seed: 3", "max-n: 40", "min-window: 4", "budget: 1000", "instance: sub45",
+        "instance: sub:3,4 max-n=60", "instance: nim:3 min-window=2", "instance: o26 max-n=12 budget=1000",
+        "instance: o26 max-n=100000000 budget=500", "instance: sub45 max-n=100000000 budget=1000",
+        "instance: o3333p2 fixed=2@sub45 budget=1000", "subtraction-family: 1-3", "# comment",
+    ]),
+    st.sampled_from([
+        "seed: x", "max-n: -1", "min-window: 0", "budget: -1", "instance: sub45 fixed=3@sub54",
+        "instance: mystery", "instance: sub:0", "instance:", "instance: sub45 frob=1",
+        "subtraction-family: 0-2", "subtraction-family: 1-40", "frob: 1", "no colon here",
+    ]),
+)
+
+
+def sizes(low, high):
+    """``(size, huge)``: a small size, or a huge one that needs a small budget."""
+    return st.one_of(st.integers(low, high).map(lambda n: (n, False)), HUGE.map(lambda n: (n, True)))
+
+
+@st.composite
+def positions(draw):
+    terms, huge = [], False
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.integers(0, 5)) == 0:
+            terms.append(draw(JUNK_TERMS))
+            continue
+        size, big = draw(sizes(0, 12))
+        huge |= big
+        terms.append(f"{size}@{draw(HEAP_NAMES)}" if draw(st.integers(0, 5)) else str(size))
+    return ",".join(terms) or draw(st.sampled_from(["-", ""])), huge
+
+
+@st.composite
+def fuzz_argv(draw):
+    """``(argv, scan spec text or None)`` for one subcommand."""
+    command = draw(st.sampled_from(["eval", "sum", "tree", "gs", "table", "period", "lemma", "scan", "oracle"]))
+    argv, spec, huge = [command], None, False
+    if command in ("eval", "sum", "tree"):
+        games = GAMES if command == "sum" else st.one_of(GAMES, st.just(DEEP_CHAIN))
+        for game in draw(st.lists(games, min_size=1, max_size=3)):
+            argv += ["--game", game]
+        if command == "sum" and draw(st.booleans()):
+            argv.append("--eval")
+    elif command == "lemma":
+        argv += ["--set", draw(st.sampled_from(["4,5", "1", "2,3,5", "0", "-1", "x", "4,x", "", "300000000"]))]
+        if draw(st.booleans()):
+            argv += ["--imax", str(draw(st.integers(-2, 12)))]
+    elif command == "scan":
+        spec = "\n".join(draw(st.lists(SPEC_LINES, max_size=4))) + "\n"
+        argv += ["--spec", draw(st.sampled_from(["@DIR@/fuzz.scan", "@DIR@/absent.scan"]))]
+        if draw(st.booleans()):
+            argv += ["--out", draw(st.sampled_from(["@DIR@/out", "@DIR@/absent/out"]))]
+    else:
+        for ref in draw(st.lists(RULES_REFS, min_size=1, max_size=2)):
+            argv += ["--rules", ref]
+        if command == "gs":
+            position, huge = draw(positions())
+            argv += ["--position", position]
+        elif command == "oracle":
+            total, huge = draw(sizes(-2, 7))
+            argv += ["--max-total", str(total)]
+        else:
+            max_n, huge = draw(sizes(-3, 16))
+            argv += ["--max-n", str(max_n)]
+            if draw(st.booleans()):
+                argv += ["--var", draw(HEAP_NAMES)]
+            if draw(st.booleans()):
+                fixed, big = draw(positions())
+                argv += ["--fixed", fixed]
+                huge |= big
+            if command == "period" and draw(st.booleans()):
+                argv += ["--min-window", str(draw(st.integers(-1, 8)))]
+            if command == "table" and draw(st.booleans()):
+                argv += ["--format", draw(st.sampled_from(["csv", "structured", "xml"]))]
+        if huge or draw(st.booleans()):
+            argv += ["--budget", str(draw(st.integers(-3, 1000)))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--frob", "--budget", "--max-n", "extra"])))
+    return argv, spec
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Rules files and scan specs for the fuzzed command lines."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "good.rules").write_text("name: good\ndigits: 3 3\npoints: 1 -1/2\n", encoding="utf-8")
+    (folder / "bad.rules").write_text("name: bad\ndigits: 3 3\npoints: 1 1/0\n", encoding="utf-8")
+    return folder
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_command_lines_exit_0_1_or_2(fuzz_dir, case):
+    """Whatever the argv, ``main`` raises nothing, returns 0, 1 or 2, and
+    prints no traceback."""
+    argv, spec = case
+    argv = [arg.replace("@DIR@", str(fuzz_dir)) for arg in argv]
+    if spec is not None:
+        (fuzz_dir / "fuzz.scan").write_text(spec, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
