@@ -263,7 +263,7 @@ def _cmd_lemma(args) -> int:
     print(f"identity-failures={len(report.identity_failures)}")
     print(f"bound-failures={len(report.bound_failures)}")
     print(f"status={'pass' if report.passed else 'fail'}")
-    return 0
+    return 0 if report.passed else 1
 
 
 def _cmd_scan(args) -> int:

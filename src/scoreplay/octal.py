@@ -301,9 +301,14 @@ class MoveOutcome(NamedTuple):
     next: Position
 
 
-def _require_position(position) -> None:
+def _require_position(position, rules: Collection[str]) -> None:
+    """Refuse a non-Position and a heap of a ruleset not in ``rules``; a move
+    keeps every heap's ruleset, so the root's check covers its whole walk."""
     if not isinstance(position, Position):
         raise TypeError(f"expected a Position, got {type(position).__name__}")
+    for ruleset_id, _ in position:
+        if ruleset_id not in rules:
+            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
 
 
 def _next_moves(
@@ -316,9 +321,9 @@ def _next_moves(
 
     ``awards[name][k-1]`` is the award for removing k beans from a heap of
     ruleset ``name``, in whatever units the caller counts points.  The
-    entry points refuse anything but a :class:`Position`, so the heaps are
-    canonical already: each next position is sorted here and built once,
-    without the constructor's checks.
+    entry points refuse anything but a :class:`Position` of known rulesets,
+    so the heaps are canonical already: each next position is sorted here
+    and built once, without the constructor's checks.
 
     Distinct moves reach distinct positions: the heaps left say which heap
     was taken from, how many beans and how it split.  With a ``limit``,
@@ -330,9 +335,7 @@ def _next_moves(
     for index, (ruleset_id, size) in enumerate(position):
         if index and position[index - 1] == (ruleset_id, size):
             continue  # an equal heap has the same moves
-        ruleset = rules.get(ruleset_id)
-        if ruleset is None:
-            raise UnknownRulesetError(f"position references unknown ruleset {ruleset_id!r}")
+        ruleset = rules[ruleset_id]
         others = position[:index] + position[index + 1 :]
         for take, (digit, award) in enumerate(zip(ruleset.digits[:size], awards[ruleset_id]), start=1):
             rest = size - take
@@ -356,8 +359,8 @@ def legal_moves(position: Position, rules: OctalRules | Iterable[OctalRules]) ->
     Moves that award the same points and reach the same position are merged,
     e.g. taking either of two equal heaps.  A plain tuple is refused.
     """
-    _require_position(position)
     rules = _normalize_rules(rules)
+    _require_position(position, rules)
     points = {name: ruleset.points for name, ruleset in rules.items()}
     return [MoveOutcome(*move) for move in _next_moves(position, rules, points)]
 
@@ -368,9 +371,9 @@ class GrundySolver:
     ``rules`` is one ruleset or an iterable of them.  The value of a
     position is the best over all moves of the award minus the value of the
     position left behind; positions without moves are worth zero.  One memo
-    table serves every query, so sweeps share work.  The ``budget`` is
-    cumulative per solver, not per query: it caps the memo and the sweep
-    tables together.  None means no cap; a negative budget is refused.  A
+    serves every query, so queries share work.  The ``budget`` is
+    cumulative per solver, not per query: it caps the memo plus the table
+    a sweep is building.  None means no cap; a negative budget is refused.  A
     position with more moves than the budget has room for is refused
     before its moves are built, as every one of them would be held.
     Not thread-safe: give each worker its own solver (values do not depend
@@ -388,7 +391,7 @@ class GrundySolver:
     generator, which builds each position's moves once and drops them as
     soon as the position is done.  :meth:`to_game` expands one node per
     class of positions and running score; a class is its interned shape.
-    Every entry point refuses anything but a :class:`Position`.
+    Every entry point refuses anything but a :class:`Position` of loaded rulesets.
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
@@ -402,8 +405,6 @@ class GrundySolver:
             for name, r in self.rules.items()
         }
         self._values: dict[Position, int] = {}
-        # single-heap values of non-splitting rulesets (see sweep)
-        self._tables: dict[str, list[int]] = {}
         # to_game's expansion: each position's class, each class interned as
         # its shape, and one node per class and running score
         self._class_of: dict[Position, frozenset] = {}
@@ -414,21 +415,20 @@ class GrundySolver:
 
     @property
     def positions_evaluated(self) -> int:
-        """Positions memoized by :meth:`value`, plus single-heap table entries."""
-        return len(self._values) + sum(map(len, self._tables.values()))
+        """Positions memoized by :meth:`value`; a sweep's table is not kept."""
+        return len(self._values)
 
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
         return self._as_fraction(self._scaled_value(position))
 
     def _scaled_value(self, position: Position) -> int:
-        _require_position(position)
+        _require_position(position, self.rules)
         values = self._values
         # Every next position of a position is valued before it, so a
-        # position with more than ``room`` moves exceeds the budget anyway:
+        # position with more moves than the budget exceeds it anyway:
         # _expand refuses it before its moves are built.
-        room = None if self.budget is None else self.budget - sum(map(len, self._tables.values()))
-        for pos, moves in self._expand(position, values, room):
+        for pos, moves in self._expand(position, values, self.budget):
             values[pos] = max((award - values[nxt] for award, nxt in moves), default=0)
         return values[position]
 
@@ -473,37 +473,36 @@ class GrundySolver:
 
         Entry n is an int, the value times :attr:`scale`, so
         ``Fraction(entry, solver.scale)`` is the exact value; equal values
-        are equal ints.  Entry 0 is the value of the base alone.  Work
-        persists across entries and across sweeps.
+        are equal ints.  Entry 0 is the value of the base alone.
 
         With an empty base and a ruleset that never splits a heap, every
         position reached is a single heap of that ruleset, so the sweep runs
         the recurrence ``v[n] = max(points[k] - v[n - k])`` over a flat table
-        of scaled ints.  The table is kept per ruleset, a longer sweep
-        extends it, and it counts toward ``positions_evaluated`` and the
-        budget.  Every other sweep evaluates each entry as :meth:`value`
-        does.  The values are the same either way.
+        of scaled ints.  The table is the result and is not kept; while it
+        is built it counts against the budget with the memo, so a table that
+        cannot fit is refused before any entry is computed.  Every other
+        sweep evaluates each entry as :meth:`value` does.  The values are
+        the same either way.
         """
-        _require_position(base)
+        _require_position(base, self.rules)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         var = self._resolve_var(var)
         rules = self.rules[var]
         if base or rules.splits_heaps:
             return [self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1)]
-        return self._single_heap_table(rules, max_n)[: max_n + 1]
+        held = len(self._values)
+        if self.budget is not None and held + max_n + 1 > self.budget:
+            raise self._budget_error(Position(((var, max(self.budget - held, 0)),)))
+        return self._single_heap_table(rules, max_n)
 
     def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
-        """Scaled values of single heaps 0..max_n or more, extending the table."""
-        table = self._tables.setdefault(rules.name, [])
-        stop = max_n + 1
-        if self.budget is not None:
-            # the entry that would take the count past the budget is not computed
-            stop = min(stop, len(table) + max(self.budget - self.positions_evaluated, 0))
+        """Scaled values of single heaps 0..max_n."""
+        table: list[int] = []
         digits = rules.digits
         awards = self._awards[rules.name]
         keeps = [(take, awards[take - 1]) for take, d in enumerate(digits, start=1) if d & 2]
-        for n in range(len(table), min(stop, len(digits) + 1)):
+        for n in range(min(max_n, len(digits)) + 1):
             options = [award - table[n - take] for take, award in keeps if take < n]
             if n and digits[n - 1] & 1:
                 options.append(awards[n - 1])  # take the whole heap; nothing is left
@@ -513,12 +512,10 @@ class GrundySolver:
             kept_awards = [award for _, award in keeps]
             back = [-take for take, _ in keeps]
             entry = table.__getitem__
-            for _ in range(len(table), stop):
+            for _ in range(len(table), max_n + 1):
                 table.append(max(map(sub, kept_awards, map(entry, back))))
         else:  # no move leaves a heap, so these heaps have no move at all
-            table.extend([0] * (stop - len(table)))
-        if len(table) <= max_n:
-            raise self._budget_error(Position(((rules.name, len(table)),)))
+            table.extend([0] * (max_n + 1 - len(table)))
         return table
 
     def _budget_error(self, position: Position) -> BudgetExceededError:
@@ -552,7 +549,7 @@ class GrundySolver:
           back its class.  So a node at s gives back its shape, hence its
           class.
         """
-        _require_position(position)
+        _require_position(position, self.rules)
         if position.total > max_total:
             raise ExpansionLimitError(
                 f"position has {position.total} beans, expansion bound is {max_total}"

@@ -8,16 +8,17 @@ import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoreplay import octal, periods
+from scoreplay import cli, octal, periods
 from scoreplay.cli import main
-from scoreplay.games import MAX_RENDER_CHARS
-from scoreplay.octal import GrundySolver, Position
+from scoreplay.games import MAX_RENDER_CHARS, FinalScores
+from scoreplay.octal import GrundySolver, Position, standard_nim
 from support import ALIKE_TOO_DEEP, INT_DIGIT_LIMIT
 
 
@@ -384,6 +385,27 @@ def test_lemma_pass(run):
     assert out.splitlines()[-1] == "status=pass"
 
 
+def test_lemma_lists_each_failure_and_exits_1(run, monkeypatch):
+    def failing_check(amounts, i_max):
+        return periods.LemmaReport(
+            (4, 5), 5, i_max,
+            ((4, 1, Fraction(1), Fraction(-1, 2)),),
+            ((2, 3, Fraction(3), Fraction(2), "even-block value above residue"),),
+        )
+
+    monkeypatch.setattr(cli, "check_lemma", failing_check)
+    assert run("lemma", "--set", "4,5", "--imax", "5") == (
+        1,
+        "set={4,5} k=5 imax=5\n"
+        "identity-failure: s=4 i=1 lhs=1 rhs=-1/2\n"
+        "bound-failure: r=2 i=3 value=3 bound=2 (even-block value above residue)\n"
+        "identity-failures=1\n"
+        "bound-failures=1\n"
+        "status=fail\n",
+        "",
+    )
+
+
 def test_lemma_sweeps_under_the_default_budget(run):
     """A huge --imax stops at the default budget instead of exhausting memory."""
     assert run("lemma", "--set", "4,5", "--imax", "1000000000") == (
@@ -476,6 +498,26 @@ def test_oracle_small(run):
     assert code == 0
     assert "ruleset nim2: positions=19 pass" in out
     assert out.strip().endswith("oracle: pass (rulesets=1, positions=19)")
+
+
+def test_oracle_reports_a_mismatch_and_exits_1(run, monkeypatch):
+    """Expansion nodes are interned, so the node of 2@nim2 is the one the
+    oracle's own solver builds."""
+    shifted = GrundySolver(standard_nim(2)).to_game(Position((("nim2", 2),)))
+    final_scores = cli.final_scores
+
+    def shifting_final_scores(game):
+        sl, sr = final_scores(game)
+        return FinalScores(sl + 1, sr) if game is shifted else FinalScores(sl, sr)
+
+    monkeypatch.setattr(cli, "final_scores", shifting_final_scores)
+    assert run("oracle", "--rules", "nim:2", "--max-total", "2") == (
+        1,
+        "mismatch: ruleset=nim2 position=2@nim2 value=2 sl=3 sr=-2\n"
+        "ruleset nim2: positions=4 FAIL\n"
+        "oracle: FAIL (rulesets=1, positions=4)\n",
+        "",
+    )
 
 
 def test_oracle_refuses_a_negative_max_total(run):

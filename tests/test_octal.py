@@ -44,6 +44,7 @@ SUB45 = subtraction_rules((4, 5))
 SUB45_TABLE = [0, 0, 0, 0, 4, 5, 5, 5, 5, 1, 0, 0, 0, 3, 4, 5]
 # frozen values for take-up-to-4-score-2: period 5 from the start
 O3333P2_TABLE = [0, 2, 2, 2, 2, 0, 2, 2, 2, 2, 0]
+O26 = rules_from_name("o26")
 
 
 def heap(size, rules=SUB45):
@@ -350,6 +351,27 @@ def test_unknown_ruleset_in_position_raises():
         legal_moves(Position((("nope", 4),)), SUB45)
 
 
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda solver, position: solver.value(position),
+        lambda solver, position: solver.best_moves(position),
+        lambda solver, position: solver.to_game(position),
+        lambda solver, position: solver.sweep(3, base=position),
+        lambda solver, position: legal_moves(position, solver.rules.values()),
+    ],
+    ids=["value", "best_moves", "to_game", "sweep", "legal_moves"],
+)
+def test_every_entry_point_refuses_an_unknown_ruleset_before_walking(ask):
+    """The position's rulesets are checked before any move, budget or
+    expansion bound is looked at."""
+    solver = GrundySolver(O26, budget=3)
+    position = Position((("o26", 40), ("zzz", 1)))
+    with pytest.raises(UnknownRulesetError, match=r"^position references unknown ruleset 'zzz'$"):
+        ask(solver, position)
+    assert solver.positions_evaluated == 0
+
+
 def test_legal_moves_takes_records_not_name_maps():
     position = Position((("o26", 3), ("sub45", 5)))
     o26 = rules_from_name("o26")
@@ -415,9 +437,19 @@ def test_sweep_with_mixed_rules_needs_var():
 
 
 def test_memo_persists_across_queries():
+    """``value`` and a splitting ruleset's sweep fill the memo, and asking
+    again, or for a position already reached, adds nothing."""
     solver = GrundySolver(SUB45)
+    solver.value(heap(15))
+    evaluated = solver.positions_evaluated
+    assert evaluated > 0
+    solver.value(heap(15))
+    solver.value(heap(11))  # 15 - 4
+    assert solver.positions_evaluated == evaluated
+    solver = GrundySolver(O26)
     solver.sweep(15)
     evaluated = solver.positions_evaluated
+    assert evaluated > 0
     solver.sweep(15)
     assert solver.positions_evaluated == evaluated
 
@@ -429,12 +461,34 @@ def test_budget_limits_positions():
 
 
 def test_budget_is_cumulative_over_sweep_tables_and_memo():
-    """``value`` counts the sweep tables as ``sweep`` does: the 41 tabled
-    heaps leave too little budget for the 20 memo entries 25@sub45 needs."""
+    """A sweep's table is its result, so it leaves the whole budget to the
+    memo; the memo counts against a later sweep's table."""
+    reference = GrundySolver(SUB45)
     solver = GrundySolver(SUB45, budget=50)
     solver.sweep(40)
-    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(50 positions\) evaluating 25@sub45$"):
-        solver.value(heap(25))
+    assert solver.value(heap(25)) == reference.value(heap(25))
+    assert solver.positions_evaluated == len(solver._values) == reference.positions_evaluated
+    held = solver.positions_evaluated
+    assert 0 < held < 50
+    with pytest.raises(
+        BudgetExceededError,
+        match=rf"^position budget exceeded \(50 positions\) evaluating {50 - held}@sub45$",
+    ):
+        solver.sweep(50 - held)
+    # a table that fills the room left exactly is built
+    assert unscaled(solver, solver.sweep(49 - held)) == generic_sweep(reference, 49 - held, "sub45")
+    solver.budget = held - 1  # lowered below the memo: no room at all
+    with pytest.raises(BudgetExceededError, match=rf"^position budget exceeded \({held - 1} positions\) evaluating -$"):
+        solver.sweep(0)
+
+
+def test_a_sweep_that_cannot_fit_is_refused_before_its_table_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table was started")
+
+    monkeypatch.setattr(GrundySolver, "_single_heap_table", refuse)
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(10 positions\) evaluating 10@sub45$"):
+        GrundySolver(SUB45, budget=10).sweep(10**9)
 
 
 def test_negative_budget_is_refused():
@@ -501,12 +555,12 @@ def test_kernel_matches_evaluator_on_acceptance_rulesets(rules):
 @given(non_splitting_rules, st.integers(0, 80), st.integers(0, 80))
 def test_kernel_matches_evaluator_on_random_rules(rules, first, second):
     """Fractional and negative awards, emptying-only and surviving digits;
-    a second sweep extends or slices the first."""
+    a second sweep recomputes its table, as no table is kept."""
     solver = GrundySolver(rules)
     reference = generic_sweep(GrundySolver(rules), max(first, second), "h")
     assert unscaled(solver, solver.sweep(first)) == reference[: first + 1]
     assert unscaled(solver, solver.sweep(second)) == reference[: second + 1]
-    assert solver.positions_evaluated == max(first, second) + 1
+    assert solver.positions_evaluated == 0
 
 
 def test_kernel_without_surviving_moves():
@@ -524,7 +578,7 @@ def test_kernel_serves_a_mixed_rules_solver():
     o26 = rules_from_name("o26")
     solver = GrundySolver([SUB45, o26])
     assert solver.sweep(40, var="sub45") == generic_sweep(GrundySolver(SUB45), 40, "sub45")
-    assert solver.positions_evaluated == 41  # heaps of sub45 alone
+    assert solver.positions_evaluated == 0  # the table is the result, not kept
     assert solver.sweep(12, var="o26") == generic_sweep(GrundySolver(o26), 12, "o26")
 
 
@@ -532,13 +586,15 @@ def test_kernel_serves_a_mixed_rules_solver():
 @given(non_splitting_rules, st.integers(0, 40), st.integers(0, 40))
 def test_kernel_budget_errors_match_evaluator(rules, budget, max_n):
     """A fresh solver fails exactly when max_n + 1 > budget, with the same
-    message and the same work kept."""
+    message.  The kernel keeps no work, where the generic walk keeps its memo."""
     kernel = budget_outcome(lambda s: s.sweep(max_n), GrundySolver(rules, budget=budget))
     generic = budget_outcome(
         lambda s: generic_sweep(s, max_n, "h"), GrundySolver(rules, budget=budget)
     )
-    assert kernel == generic
+    assert kernel[0] == generic[0]
     assert (kernel[0] is not None) == (max_n + 1 > budget)
+    assert kernel[1] == 0
+    assert generic[1] == min(max_n + 1, budget)
 
 
 def test_kernel_budget_message():
@@ -548,7 +604,7 @@ def test_kernel_budget_message():
     solver = GrundySolver(SUB45, budget=7)
     with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(7 positions\) evaluating 7@sub45$"):
         solver.sweep(20)
-    assert solver.sweep(6) == SUB45_TABLE[:7]  # the work done before the error is kept
+    assert solver.sweep(6) == SUB45_TABLE[:7]  # a table that fills the budget exactly
 
 
 @pytest.mark.parametrize(
@@ -704,7 +760,6 @@ def test_scale_is_one_lcm_over_all_rulesets():
     assert solver.sweep(3, var="b") == [0, 4, 0, 4]  # the values times 6
 
 
-O26 = rules_from_name("o26")
 SPLITS = OctalRules("a", (7, 7, 7, 7), (1, 1, 1, 1))
 TAKE_ONE = OctalRules("b", (1,), (1,))
 
