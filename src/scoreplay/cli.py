@@ -270,10 +270,10 @@ def _cmd_scan(args) -> int:
     spec = parse_scan_spec(Path(args.spec).read_text(encoding="utf-8"))
     report = run_scan(spec)
     csv_text = report.to_csv()
-    sys.stdout.write(csv_text)
-    if args.out:
+    if args.out:  # first, so a file that cannot be written leaves stdout empty
         Path(args.out + ".csv").write_text(csv_text, encoding="utf-8")
         Path(args.out + ".txt").write_text(report.to_detail(), encoding="utf-8")
+    sys.stdout.write(csv_text)
     return 0
 
 

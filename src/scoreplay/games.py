@@ -11,7 +11,7 @@ from __future__ import annotations
 
 __all__ = [
     "Score", "NotationError", "RenderSizeError", "as_score", "parse_score", "format_score",
-    "Game", "GameDepthError", "reflect", "negate", "translate", "add", "FinalScores",
+    "Game", "reflect", "negate", "translate", "add", "FinalScores",
     "final_scores", "Outcome", "outcome", "is_impartial", "identity_game", "generate_impartial",
     "parse_game", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_game", "render_tree",
 ]
@@ -107,12 +107,16 @@ class Game:
     """An immutable scoring-play game in canonical form, hash-consed.
 
     Option sets are stored deduplicated and sorted by a total order on
-    games: score first, then the left options, then the right options, each
-    list compared lexicographically with a proper prefix first.  Scores are
+    games, ``g < h``: score first, then the left options, then the right
+    options, each list compared lexicographically with a proper prefix
+    first.  This is the storage order, not a comparison of game values, and
+    ``<`` (with its mirror ``>``) is the only comparison defined.  Scores are
     compared first as their nearest floats, which the interpreter compares
     in C, and exactly only on a tie.  Rounding to the nearest float is
     monotone, so a smaller float means a smaller score and the order is the
-    exact one.
+    exact one.  The option sort compares ``_key`` tuples, so only a score
+    tie reaches :meth:`__lt__`, which walks one path down to where the two
+    games differ: no depth of game limits the order.
 
     Every structurally distinct game exists once per process: building a game
     that is structurally equal to a live one returns that very object,
@@ -146,20 +150,20 @@ class Game:
             if node is None:
                 node = object.__new__(cls)
                 node.score, node.left, node.right = score, left, right
-                # The key tuples carry the order on games: score, then the
-                # left and then the right option lists lexicographically, a
-                # proper prefix first.  The score comes twice.  First as the
-                # nearest float, ±inf past the float range: int division
-                # rounds correctly and rounding is monotone, so a smaller
-                # float is a smaller score, and floats compare in C.  Equal
-                # floats fall through to the exact score, an int when
-                # integral, which compares faster and exactly with Fractions.
+                # The key carries the order on games: score, then the left
+                # and then the right option tuple, whose games compare by
+                # ``__lt__``.  The score comes twice.  First as the nearest
+                # float, ±inf past the float range: int division rounds
+                # correctly and rounding is monotone, so a smaller float is
+                # a smaller score, and floats compare in C.  Equal floats
+                # fall through to the exact score, an int when integral,
+                # which compares faster and exactly with Fractions.
                 try:
                     near = num / den
                 except OverflowError:
                     near = math.inf if num > 0 else -math.inf
                 first = num if den == 1 else score
-                node._key = (near, first, tuple([o._key for o in left]), tuple([o._key for o in right]))
+                node._key = (near, first, left, right)
                 # The options were built first, so their scores are known:
                 # one step of the minimax, in the same int-or-Fraction form.
                 node._sl = max([o._sr for o in left]) if left else first
@@ -176,6 +180,30 @@ class Game:
         it, as ``perfbench/layertrace.py`` does, still counts every
         construction.
         """
+
+    def __lt__(self, other):
+        """Does ``self`` come before ``other`` in the storage order?
+
+        Equal games are one object, so two distinct games with equal scores
+        differ first at their first non-identical option, left side first,
+        or else one option tuple is a proper prefix of the other.  That pair
+        decides the order, so the walk steps down to it: one path, no
+        recursion.
+        """
+        if not isinstance(other, Game):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            ka, kb = a._key, b._key
+            if ka[1] != kb[1]:
+                return ka < kb  # the scores differ, so they decide
+            mine, theirs = (ka[2], kb[2]) if ka[2] != kb[2] else (ka[3], kb[3])
+            for a, b in zip(mine, theirs):  # step down to the first pair that differs
+                if a is not b:
+                    break
+            else:
+                return len(mine) < len(theirs)
+        return False
 
     def __copy__(self):
         return self  # immutable and interned, so any copy is this very node
@@ -263,10 +291,6 @@ _INTERN_LOCK = threading.Lock()
 _SORT_KEY = attrgetter("_key")
 
 
-class GameDepthError(ValueError):
-    """Two options of one node agree too deep down to be put in order."""
-
-
 def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
     opts = tuple(options)
     for opt in opts:
@@ -274,12 +298,7 @@ def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
             raise TypeError(f"game options must be Game instances, got {type(opt).__name__}")
     if len(opts) > 1:
         # options form a set; equal games are one object, so dedupe by identity
-        try:
-            opts = tuple(sorted(dict.fromkeys(opts), key=_SORT_KEY))
-        except RecursionError:
-            # comparing two keys recurses in C, two levels per game level
-            # that the options share
-            raise GameDepthError("sibling options agree too many levels deep to be ordered") from None
+        opts = tuple(sorted(dict.fromkeys(opts), key=_SORT_KEY))
     return opts
 
 

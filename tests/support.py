@@ -16,13 +16,6 @@ from scoreplay.games import Game
 from scoreplay.octal import MoveOutcome, OctalRules, Position, UnknownRulesetError
 
 
-# Depth at which two sibling chains that differ only at the leaf can no
-# longer be ordered.  3.10 and 3.11 count the C comparisons, two per game
-# level, against sys.getrecursionlimit() (1,000); 3.12 gives them a C
-# recursion limit of their own (1,500 in 3.12.1), so it needs far more:
-# about 750 levels on 3.12.1 and about 5,000 on 3.13.0.
-ALIKE_TOO_DEEP = 500 if sys.version_info < (3, 12) else 10_000
-
 # int() refuses a decimal string longer than this many digits; 0 means no limit.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 

@@ -22,7 +22,6 @@ from scoreplay.games import (
     _INTERNED,
     FinalScores,
     Game,
-    GameDepthError,
     NotationError,
     Outcome,
     RenderSizeError,
@@ -43,7 +42,7 @@ from scoreplay.games import (
     render_tree,
     translate,
 )
-from support import ALIKE_TOO_DEEP, INT_DIGIT_LIMIT, games, naive_final_scores, scores
+from support import INT_DIGIT_LIMIT, games, naive_final_scores, scores
 
 
 # ---------------------------------------------------------------------------
@@ -798,14 +797,21 @@ def test_deep_chains_differing_at_the_leaf_sort_as_siblings():
     assert _chain(300, 0) is low
 
 
-def test_siblings_alike_too_deep_raise_a_typed_error():
-    """Ordering two options compares their keys, which recurses deeper
-    with every level the options share; past the interpreter's limit that
-    is a GameDepthError, not a RecursionError."""
-    with pytest.raises(GameDepthError):
-        Game(0, [_chain(ALIKE_TOO_DEEP, 1), _chain(ALIKE_TOO_DEEP, 0)])
-    low, high = _chain(450, 0), _chain(450, 1)
-    assert Game(0, [high, low]).left == (low, high)
+def test_siblings_alike_ten_thousand_levels_deep_are_ordered():
+    """Ordering two options walks one path down to where they differ, so
+    no depth limits it: on the left side, on the right side, and where one
+    option tuple is a proper prefix of the other."""
+    for low, high in [
+        (Game(0), Game(1)),
+        (Game(0, [], [Game(1)]), Game(0, [], [Game(2)])),
+        (Game(0, [Game(1)]), Game(0, [Game(1), Game(2)])),
+        (Game(0, [Game(1)]), Game(0, [Game(1)], [Game(0)])),
+    ]:
+        for _ in range(10_000):
+            low, high = Game(0, [low]), Game(0, [high])
+        assert Game(0, [high, low]).left == (low, high)
+        assert low < high and high > low
+        assert not high < low and not low < low
 
 
 def test_deep_game_renders_without_recursion():

@@ -286,6 +286,34 @@ def test_lemma_passes_for_take_four_five():
     assert report.bound_failures == ()
 
 
+@pytest.mark.parametrize(
+    "entry, value, identity_failures, bound_failures",
+    [
+        (14, 7, ((4, 1, 7, 4),), ((4, 1, 7, 4, "even-block value above residue"),)),
+        (9, 0, ((4, 1, 4, 5),), ((4, 0, 0, 1, "odd-block value below k-r"),)),
+    ],
+    ids=["even-block", "odd-block"],
+)
+def test_lemma_reports_each_failure_of_a_changed_sweep(monkeypatch, entry, value, identity_failures, bound_failures):
+    """The real take-4-or-5 sweep with one entry changed.  Heap 14 (value 4)
+    is residue 4 of even block 1 and the identity's left side for s=4, i=1;
+    heap 9 (value 1) is residue 4 of odd block 0 and that identity's right
+    side.  No one entry can break both bounds, so each case breaks one."""
+
+    class ChangedSweep(GrundySolver):
+        def sweep(self, *args, **kwargs):
+            seq = super().sweep(*args, **kwargs)
+            seq[entry] = value
+            return seq
+
+    monkeypatch.setattr(periods, "GrundySolver", ChangedSweep)
+    report = check_lemma((4, 5), i_max=2)
+    assert report.identity_failures == identity_failures
+    assert report.bound_failures == bound_failures
+    assert all(type(x) is Fraction for row in report.identity_failures + report.bound_failures for x in row[2:4])
+    assert report.passed is False
+
+
 def test_lemma_passes_for_singleton():
     assert check_lemma((3,), i_max=4).passed
 
