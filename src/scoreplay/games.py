@@ -106,11 +106,26 @@ def format_score(value: Score) -> str:
 class Game:
     """An immutable scoring-play game in canonical form, hash-consed.
 
-    Option sets are stored deduplicated and sorted by a total order on
-    games, ``g < h``: score first, then the left options, then the right
-    options, each list compared lexicographically with a proper prefix
-    first.  This is the storage order, not a comparison of game values, and
-    ``<`` (with its mirror ``>``) is the only comparison defined.  Scores are
+    Every structurally distinct game exists once per process: building a game
+    that is structurally equal to a live one returns that very object,
+    however either was built.  So structurally equal games are the same
+    object (``is``), and equality is identity.  A node is interned by its
+    score and its two option *sets*, each stored deduplicated in order of
+    ``id``: equal games are one object, so that form is canonical and no
+    game is compared to build it.  The intern table holds nodes weakly, so
+    a node dies with its last outside reference.  ``g + h`` is the
+    long-rule disjunctive sum, ``-g`` the mirror image.  Instances are safe
+    to share across threads, and threads that build the same game get the
+    same object.
+
+    ``left`` and ``right`` give the options in the storage order, a total
+    order on games, ``g < h``: score first, then the left options, then the
+    right options, each list compared lexicographically with a proper
+    prefix first.  This is not a comparison of game values, and ``<`` (with
+    its mirror ``>``) is the only comparison defined.  The order is worked
+    out on its first read, by ``left``, ``right``, ``<``, rendering or
+    pickling, for the node and every node below it that lacks it, and then
+    kept; the sums, reflections and minimax never read it.  Scores are
     compared first as their nearest floats, which the interpreter compares
     in C, and exactly only on a tie.  Rounding to the nearest float is
     monotone, so a smaller float means a smaller score and the order is the
@@ -118,27 +133,18 @@ class Game:
     tie reaches :meth:`__lt__`, which walks one path down to where the two
     games differ: no depth of game limits the order.
 
-    Every structurally distinct game exists once per process: building a game
-    that is structurally equal to a live one returns that very object,
-    however either was built.  So structurally equal games are the same
-    object (``is``), and equality is identity.  The intern table holds
-    nodes weakly, so a node dies with its last outside reference.  ``g + h``
-    is the long-rule disjunctive sum, ``-g`` the mirror image.  Instances
-    are safe to share across threads, and threads that build the same game
-    get the same object.
-
     A node's options exist before it does, and no node changes once built.
     So its optimal final scores (see :func:`final_scores`) are fixed when it
     is first interned, one minimax step over its options' scores, and are
     stored on it; no later query walks the tree.
     """
 
-    __slots__ = ("score", "left", "right", "_key", "_sl", "_sr", "__weakref__")
+    __slots__ = ("score", "_left", "_right", "_key", "_sl", "_sr", "__weakref__")
 
     def __new__(cls, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
         score = as_score(score)
-        left = _canonical_options(left)
-        right = _canonical_options(right)
+        left = _option_set(left)
+        right = _option_set(right)
         # Options are interned, so they hash and compare by identity: no
         # lookup recurses into subtrees.  A Fraction is kept in lowest terms,
         # so its two ints name it, and ints hash and compare far faster.
@@ -149,23 +155,11 @@ class Game:
             node = None if ref is None else ref()
             if node is None:
                 node = object.__new__(cls)
-                node.score, node.left, node.right = score, left, right
-                # The key carries the order on games: score, then the left
-                # and then the right option tuple, whose games compare by
-                # ``__lt__``.  The score comes twice.  First as the nearest
-                # float, ±inf past the float range: int division rounds
-                # correctly and rounding is monotone, so a smaller float is
-                # a smaller score, and floats compare in C.  Equal floats
-                # fall through to the exact score, an int when integral,
-                # which compares faster and exactly with Fractions.
-                try:
-                    near = num / den
-                except OverflowError:
-                    near = math.inf if num > 0 else -math.inf
-                first = num if den == 1 else score
-                node._key = (near, first, left, right)
+                node.score, node._left, node._right, node._key = score, left, right, None
                 # The options were built first, so their scores are known:
-                # one step of the minimax, in the same int-or-Fraction form.
+                # one step of the minimax, kept as an int when the score is
+                # integral, which compares faster and exactly with Fractions.
+                first = num if den == 1 else score
                 node._sl = max([o._sr for o in left]) if left else first
                 node._sr = min([o._sl for o in right]) if right else first
                 ref = _InternRef(node, _forget)
@@ -194,7 +188,7 @@ class Game:
             return NotImplemented
         a, b = self, other
         while a is not b:
-            ka, kb = a._key, b._key
+            ka, kb = a._key or _order(a), b._key or _order(b)
             if ka[1] != kb[1]:
                 return ka < kb  # the scores differ, so they decide
             mine, theirs = (ka[2], kb[2]) if ka[2] != kb[2] else (ka[3], kb[3])
@@ -205,6 +199,16 @@ class Game:
                 return len(mine) < len(theirs)
         return False
 
+    @property
+    def left(self) -> tuple[Game, ...]:
+        """The left options, in the storage order."""
+        return (self._key or _order(self))[2]
+
+    @property
+    def right(self) -> tuple[Game, ...]:
+        """The right options, in the storage order."""
+        return (self._key or _order(self))[3]
+
     def __copy__(self):
         return self  # immutable and interned, so any copy is this very node
 
@@ -214,10 +218,11 @@ class Game:
     def __reduce__(self):
         # pickle rebuilds through the intern table.  It gets the distinct
         # nodes once, in post-order, each as its score and the indices of
-        # its options, so no depth of game recurses.
+        # its options, so no depth of game recurses.  The walk reads the
+        # storage order, not the id order, so equal games pickle alike.
         index: dict[Game, int] = {}
         nodes = []
-        for node in _post_order(self, index, _options):
+        for node in _post_order(self, index, lambda node: node.left + node.right):
             index[node] = len(nodes)
             nodes.append((node.score, [index[o] for o in node.left], [index[o] for o in node.right]))
         return (_from_post_order, (nodes,))
@@ -225,7 +230,7 @@ class Game:
     @property
     def is_number(self) -> bool:
         """True when the game has no options (a bare final score)."""
-        return not self.left and not self.right
+        return not self._left and not self._right
 
     def __add__(self, other):
         if not isinstance(other, Game):
@@ -255,7 +260,7 @@ class Game:
             score = part(num) if den == 1 else f"{part(num)}/{part(den)}"
             # format_score's error keeps the interpreter's as its cause
             why = exc if exc.__cause__ else f"notation over {MAX_RENDER_CHARS} characters"
-            return f"<Game score={score} left={len(self.left)} right={len(self.right)}: {why}>"
+            return f"<Game score={score} left={len(self._left)} right={len(self._right)}: {why}>"
 
 
 def _from_post_order(nodes) -> Game:
@@ -288,18 +293,62 @@ _INTERNED: dict[tuple, _InternRef] = {}
 _INTERN_LOCK = threading.Lock()
 
 
-_SORT_KEY = attrgetter("_key")
-
-
-def _canonical_options(options: Iterable[Game]) -> tuple[Game, ...]:
+def _option_set(options: Iterable[Game]) -> tuple[Game, ...]:
     opts = tuple(options)
     for opt in opts:
         if not isinstance(opt, Game):
             raise TypeError(f"game options must be Game instances, got {type(opt).__name__}")
     if len(opts) > 1:
-        # options form a set; equal games are one object, so dedupe by identity
-        opts = tuple(sorted(dict.fromkeys(opts), key=_SORT_KEY))
+        # options form a set; equal games are one object, so a set in order
+        # of id is canonical, and a live option keeps its id
+        opts = tuple(sorted(set(opts), key=id))
     return opts
+
+
+_SORT_KEY = attrgetter("_key")
+
+
+def _node_key(node: Game) -> tuple:
+    """The node's storage-order key; every option must have its key already.
+
+    The key is the score, then the left and then the right option tuple,
+    sorted, whose games compare by ``__lt__``.  The score comes twice.
+    First as the nearest float, ±inf past the float range: int division
+    rounds correctly and rounding is monotone, so a smaller float is a
+    smaller score, and floats compare in C.  Equal floats fall through to
+    the exact score, an int when integral, which compares faster and
+    exactly with Fractions.
+    """
+    score = node.score
+    num, den = score.numerator, score.denominator
+    try:
+        near = num / den
+    except OverflowError:
+        near = math.inf if num > 0 else -math.inf
+    left, right = node._left, node._right
+    if len(left) > 1:
+        left = tuple(sorted(left, key=_SORT_KEY))
+    if len(right) > 1:
+        right = tuple(sorted(right, key=_SORT_KEY))
+    return (near, num if den == 1 else score, left, right)
+
+
+def _order(root: Game) -> tuple:
+    """Key ``root`` and every node below it without a key; return root's key.
+
+    Nodes are keyed children first and a key never changes, so a node with
+    a key has keyed options, and the walk stops at them.  Threads that key
+    one node at once store equal keys.
+    """
+    done: dict[Game, None] = {}
+    for node in _post_order(root, done, _unkeyed_options):
+        done[node] = None
+        node._key = _node_key(node)
+    return root._key
+
+
+def _unkeyed_options(node: Game) -> list[Game]:
+    return [o for o in node._left + node._right if o._key is None]
 
 
 def reflect(game: Game, about) -> Game:
@@ -314,8 +363,8 @@ def reflect(game: Game, about) -> Game:
     for node in _post_order(game, done, _options):
         done[node] = Game(
             about - node.score,
-            [done[child] for child in node.right],
-            [done[child] for child in node.left],
+            [done[child] for child in node._right],
+            [done[child] for child in node._left],
         )
     return done[game]
 
@@ -346,8 +395,8 @@ def add(g: Game, h: Game) -> Game:
     for a in _post_order(g, g_nodes, _options):
         g_nodes[a] = None
         for b in h_nodes:
-            left = [done[al, b] for al in a.left] + [done[a, bl] for bl in b.left]
-            right = [done[ar, b] for ar in a.right] + [done[a, br] for br in b.right]
+            left = [done[al, b] for al in a._left] + [done[a, bl] for bl in b._left]
+            right = [done[ar, b] for ar in a._right] + [done[a, br] for br in b._right]
             done[a, b] = Game(a.score + b.score, left, right)
     return done[g, h]
 
@@ -390,7 +439,8 @@ _BUILD = object()  # stack mark: the entry below it has its children above it
 
 
 def _options(node: Game) -> tuple[Game, ...]:
-    return node.left + node.right
+    """Both option sets, in no particular order."""
+    return node._left + node._right
 
 
 class Outcome(Enum):
@@ -429,10 +479,10 @@ def is_impartial(game: Game) -> bool:
     ``reflected left == right``.  So only the right options are reflected,
     in one walk: ``Game(score, (), right)`` reflected about twice the score
     has them, reflected, as its left options.  Equal games are one object,
-    so comparing the option tuples compares structure.  Games with options
-    on exactly one side are never impartial.
+    so comparing the stored option sets, tuples in order of id, compares
+    structure.  Games with options on exactly one side are never impartial.
     """
-    return reflect(Game(game.score, (), game.right), 2 * game.score).left == game.left
+    return reflect(Game(game.score, (), game._right), 2 * game.score)._left == game._left
 
 
 def identity_game() -> Game:
@@ -542,34 +592,43 @@ def render_game(game: Game) -> str:
     """Canonical notation; ``parse_game(render_game(g)) is g``.
 
     Renders each distinct node once, options before the node, without
-    recursion.  A node's text is dropped once every node that uses it has
-    been rendered, so a deep chain holds two texts at a time, not all.
-    Raises :class:`RenderSizeError`, before building any text, when the
-    result would be longer than :data:`MAX_RENDER_CHARS` characters.
+    recursion, and formats each score once.  A node's text is dropped once
+    every node that uses it has been rendered, so a deep chain holds two
+    texts at a time, not all.  Raises :class:`RenderSizeError`, before
+    building any text or ordering any options, when the result would be
+    longer than :data:`MAX_RENDER_CHARS` characters.
     """
     users: dict[Game, int] = {}  # distinct parents not yet rendered
     length: dict[Game, int] = {}  # characters in each node's text, in post-order
+    scores: list[str] = []  # each node's formatted score, in the same order
     for node in _post_order(game, length, _options):
         users[node] = 0
-        size = len(format_score(node.score)) + sum([length[child] for child in _options(node)])
-        if not node.is_number:
+        score = format_score(node.score)
+        scores.append(score)
+        left, right = node._left, node._right
+        size = len(score) + sum([length[child] for child in left + right])
+        if left or right:
             # two braces, two bars and the commas between options
-            size += 4 + max(len(node.left) - 1, 0) + max(len(node.right) - 1, 0)
+            size += 4 + max(len(left) - 1, 0) + max(len(right) - 1, 0)
         length[node] = size
-        for child in {*node.left, *node.right}:
+        for child in {*left, *right}:
             users[child] += 1
     if length[game] > MAX_RENDER_CHARS:
         raise RenderSizeError(f"game notation would exceed {MAX_RENDER_CHARS} characters")
     text: dict[Game, str] = {}
-    for node in length:
-        score = format_score(node.score)
+    for node, score in zip(length, scores):
+        # options come first in post-order, so each is keyed before its
+        # parent: this pass orders the options that ``left`` would
+        key = node._key
+        if key is None:
+            key = node._key = _node_key(node)
         if node.is_number:
             text[node] = score
             continue
-        left = ",".join([text[child] for child in node.left])
-        right = ",".join([text[child] for child in node.right])
+        left = ",".join([text[child] for child in key[2]])
+        right = ",".join([text[child] for child in key[3]])
         text[node] = f"{{{left}|{score}|{right}}}"
-        for child in {*node.left, *node.right}:
+        for child in {*node._left, *node._right}:
             users[child] -= 1
             if not users[child]:
                 del text[child]

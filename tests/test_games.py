@@ -3,7 +3,9 @@
 import copy
 import gc
 import hashlib
+import itertools
 import pickle
+import random
 import sys
 import threading
 import time
@@ -25,6 +27,8 @@ from scoreplay.games import (
     NotationError,
     Outcome,
     RenderSizeError,
+    _from_post_order,
+    _options,
     _post_order,
     add,
     as_score,
@@ -42,6 +46,7 @@ from scoreplay.games import (
     render_tree,
     translate,
 )
+from scoreplay.octal import GrundySolver, Position, resolve_rules_ref
 from support import INT_DIGIT_LIMIT, games, naive_final_scores, scores
 
 
@@ -431,6 +436,7 @@ def test_repr_falls_back_to_a_summary_past_the_notation_bound():
     assert repr(game) == (
         f"<Game score=0 left=2 right=1: notation over {games_module.MAX_RENDER_CHARS} characters>"
     )
+    assert game._key is None  # counted from the option sets, not ordered
     small = parse_game("{1,2|1/2|-3}")
     with patch.object(games_module, "MAX_RENDER_CHARS", len(render_game(small)) - 1):
         assert repr(small) == "<Game score=1/2 left=2 right=1: notation over 11 characters>"
@@ -736,10 +742,11 @@ def test_post_order_walks_a_long_chain_without_recursion():
 
 
 def _reference_order(a: Game, b: Game) -> int:
-    """The order on games as first defined: recursive, over scores and option lists."""
+    """The order on games as first defined: recursive, over scores and option
+    lists, each list sorted by this order from the node's stored option set."""
     if a.score != b.score:
         return -1 if a.score < b.score else 1
-    for xs, ys in ((a.left, b.left), (a.right, b.right)):
+    for xs, ys in zip(_reference_options(a), _reference_options(b)):
         for x, y in zip(xs, ys):
             c = _reference_order(x, y)
             if c:
@@ -747,6 +754,18 @@ def _reference_order(a: Game, b: Game) -> int:
         if len(xs) != len(ys):
             return -1 if len(xs) < len(ys) else 1
     return 0
+
+
+def _reference_options(game: Game) -> tuple[list[Game], list[Game]]:
+    """Both option sets in the storage order, sorted by :func:`_reference_order`."""
+    key = cmp_to_key(_reference_order)
+    return sorted(game._left, key=key), sorted(game._right, key=key)
+
+
+def _keyed(game: Game) -> tuple:
+    """``game._key``, after ``left`` has worked out the order."""
+    game.left
+    return game._key
 
 
 # Scores whose nearest floats overflow, underflow or tie: the order hint in
@@ -778,7 +797,8 @@ def test_sort_key_orders_like_the_reference_order(options):
     for a in distinct:
         for b in distinct:
             order = _reference_order(a, b)
-            assert (a._key > b._key) - (a._key < b._key) == order == -_reference_order(b, a)
+            ka, kb = _keyed(a), _keyed(b)
+            assert (ka > kb) - (ka < kb) == order == -_reference_order(b, a)
             assert (order == 0) == (a is b)
 
 
@@ -793,7 +813,7 @@ def test_deep_chains_differing_at_the_leaf_sort_as_siblings():
     low, high = _chain(300, 0), _chain(300, 1)
     assert low is not high
     assert Game(0, [high, low]).left == (low, high)
-    assert low._key < high._key
+    assert _keyed(low) < _keyed(high)
     assert _chain(300, 0) is low
 
 
@@ -897,3 +917,198 @@ def test_threads_building_the_same_games_get_the_same_objects():
     for games_a, games_b in zip(built, built[1:]):
         assert all(a is b for a, b in zip(games_a, games_b))
     assert [render_game(g) for g in built[0]] == texts
+
+
+# ---------------------------------------------------------------------------
+# The storage order is worked out on its first read
+
+
+def _nodes(root: Game) -> list[Game]:
+    """Every distinct node under ``root``, ``root`` last, read from the stored sets."""
+    done: dict[Game, None] = {}
+    for node in _post_order(root, done, _options):
+        done[node] = None
+    return list(done)
+
+
+def _reference_render(game: Game) -> str:
+    if game.is_number:
+        return format_score(game.score)
+    left, right = _reference_options(game)
+    return "{%s|%s|%s}" % (
+        ",".join(map(_reference_render, left)), format_score(game.score), ",".join(map(_reference_render, right))
+    )
+
+
+def _reference_tree(game: Game, depth: int = 0, tag: str = "") -> list[str]:
+    lines = ["  " * depth + tag + format_score(game.score)]
+    left, right = _reference_options(game)
+    for side, options in (("L ", left), ("R ", right)):
+        for option in options:
+            lines += _reference_tree(option, depth + 1, side)
+    return lines
+
+
+class _ReferencePickle:
+    """Pickles as ``Game.__reduce__`` would, from the reference order."""
+
+    def __init__(self, game: Game):
+        self.game = game
+
+    def __reduce__(self):
+        index: dict[Game, int] = {}
+        nodes = []
+
+        def visit(node: Game) -> None:
+            if node in index:
+                return
+            left, right = _reference_options(node)
+            for option in reversed(left + right):  # the walk pops the last option first
+                visit(option)
+            index[node] = len(nodes)
+            nodes.append((node.score, [index[o] for o in left], [index[o] for o in right]))
+
+        visit(self.game)
+        return (_from_post_order, (nodes,))
+
+
+# A game as (score, left options, right options).  Few scores, so siblings
+# often tie on score and the order walks down to break the tie.
+_trees = st.recursive(
+    st.sampled_from([0, 1, -1, Fraction(1, 2)]).map(lambda s: (s, [], [])),
+    lambda options: st.tuples(
+        st.sampled_from([0, 1, Fraction(1, 2)]), st.lists(options, max_size=3), st.lists(options, max_size=3)
+    ),
+    max_leaves=14,
+)
+# Each build adds its own offset to every score, so no node of it was alive,
+# or ordered, before.  A common offset keeps the order of any two scores.
+_FRESH = itertools.count(1)
+
+
+def _build(tree, offset: Fraction, rng: random.Random) -> Game:
+    """``tree`` as a game, with ``offset`` added to every score and each
+    option list given in shuffled order."""
+    score, left, right = tree
+    left = [_build(option, offset, rng) for option in left]
+    right = [_build(option, offset, rng) for option in right]
+    rng.shuffle(left)
+    rng.shuffle(right)
+    return Game(score + offset, left, right)
+
+
+def _first_read(reader: str, game: Game, rng: random.Random) -> None:
+    """Read the storage order of a fresh game through ``reader`` and check
+    what it returns against the reference."""
+    nodes = _nodes(game)
+    if reader == "left":
+        inner = [node for node in nodes if not node.is_number]
+        if inner:
+            node = rng.choice(inner)
+            assert list(node.left) == _reference_options(node)[0]
+    elif reader == "lt":
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        assert (a < b) == (_reference_order(a, b) < 0)
+    elif reader == "render_game":
+        assert render_game(game) == _reference_render(game)
+    elif reader == "render_tree":
+        assert render_tree(game) == "\n".join(_reference_tree(game))
+    else:
+        assert pickle.dumps(game) == pickle.dumps(_ReferencePickle(game))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trees, st.randoms(use_true_random=False))
+def test_every_first_read_of_the_order_matches_the_reference(tree, rng):
+    """Whichever reader first asks a fresh game for its order, the answer,
+    and every later one, is the reference order on the option sets."""
+    for reader in ("left", "lt", "render_game", "render_tree", "pickle"):
+        offset = Fraction(1, 7919 * next(_FRESH))
+        game = _build(tree, offset, rng)
+        assert _build(tree, offset, rng) is game
+        nodes = _nodes(game)
+        assert all(node._key is None for node in nodes)
+        _first_read(reader, game, rng)
+        for node in nodes:  # a node with a key has keyed options
+            assert node._key is None or all(o._key is not None for o in _options(node))
+        for node in nodes:
+            assert (list(node.left), list(node.right)) == _reference_options(node)
+            for other in nodes:
+                assert (node < other) == (_reference_order(node, other) < 0)
+        assert render_game(game) == _reference_render(game)
+        assert pickle.loads(pickle.dumps(game)) is game
+
+
+@settings(max_examples=15, deadline=None)
+@given(_trees, st.randoms(use_true_random=False))
+def test_threads_rendering_one_fresh_game_get_equal_text(tree, rng):
+    game = _build(tree, Fraction(1, 7919 * next(_FRESH)), rng)
+    assert game._key is None
+    barrier = threading.Barrier(2)
+    texts: list[str] = []
+
+    def render() -> None:
+        barrier.wait(timeout=30)
+        texts.append(render_game(game))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [_reference_render(game)] * 2
+
+
+def _ordered_since(keyed: set[Game], root: Game) -> list[Game]:
+    """Nodes under ``root`` that have a key and were not in ``keyed``."""
+    return [node for node in _nodes(root) if node._key is not None and node not in keyed]
+
+
+def _keyed_now() -> set[Game]:
+    """Every live node that has its key: other tests may have ordered some."""
+    live = (ref() for ref in list(_INTERNED.values()))
+    return {node for node in live if node is not None and node._key is not None}
+
+
+def test_building_and_scoring_a_heap_game_orders_nothing():
+    rules = resolve_rules_ref("o3333p2")
+    keyed = _keyed_now()
+    game = GrundySolver([rules]).to_game(Position([("o3333p2", 9)]), max_total=9)
+    assert final_scores(game).sl is not None
+    assert len(_nodes(game)) > 50
+    assert _ordered_since(keyed, game) == []
+    render_game(game)
+    assert all(node._key is not None for node in _nodes(game))
+
+
+def test_eval_orders_nothing(capsys):
+    text = "{{1001/13|1002/13|1003/13},{1004/13|1002/13|1000/13}|1002/13|{1001/13|1002/13|1003/13}}"
+    game = parse_game(text)  # held, so the command's game is this one
+    keyed = _keyed_now()
+    assert main(["eval", "--game", text]) == 0
+    assert capsys.readouterr().out == "sl=1003/13 sr=77 outcome=L impartial=false\n"
+    assert _ordered_since(keyed, game) == []
+    assert game.left  # the order is still there to read
+    assert _ordered_since(keyed, game) != []
+
+
+def test_oracle_compares_no_games(capsys):
+    calls = []
+    less = Game.__lt__
+
+    def counted(a, b):
+        calls.append(None)
+        return less(a, b)
+
+    with patch.object(Game, "__lt__", counted):
+        assert main(["oracle", "--rules", "o3333p2", "--max-total", "11"]) == 0
+        assert calls == []
+        # the counter sees comparisons: a sort whose scores tie reaches it
+        render_game(Game(Fraction(1, 7919), [Game(0, [Game(1)]), Game(0, [Game(2)])]))
+        assert calls
+    assert capsys.readouterr().out.endswith("oracle: pass (rulesets=1, positions=195)\n")
