@@ -75,17 +75,25 @@ def parse_score(text: str) -> Score:
     token = _TOKEN_RE.match(text)
     if token[2] is None or _TOKEN_RE.match(text, token.end())[1]:
         raise NotationError(f"not a rational score literal: {text!r}")
-    return _score_from_token(token[2], 0)
+    return Fraction(*_score_parts(token[2], 0))
 
 
-def _score_from_token(token: str, position: int) -> Score:
+def _score_parts(token: str, position: int) -> tuple[int, int]:
+    """A score literal as ints ``(num, den)`` in lowest terms, ``den > 0``."""
     num, slash, den = token.partition("/")
     try:
-        return Fraction(int(num), int(den)) if slash else Fraction(token)
-    except ZeroDivisionError:
-        raise NotationError("score denominator must be positive", position) from None
+        if not slash:
+            if "." not in token:
+                return int(token), 1
+            score = Fraction(token)  # a decimal, converted exactly
+            return score.numerator, score.denominator
+        num, den = int(num), int(den)
     except ValueError:  # a part has more digits than int() converts
         raise NotationError("score literal has too many digits", position) from None
+    if not den:
+        raise NotationError("score denominator must be positive", position)
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 def format_score(value: Score) -> str:
@@ -118,6 +126,13 @@ class Game:
     to share across threads, and threads that build the same game get the
     same object.
 
+    ``Game(...)`` coerces the score, checks and deduplicates the options,
+    and interns the node.  Sums, reflections, the parser and heap
+    expansion intern directly instead: they work each score out as two
+    ints in lowest terms from their inputs' ints, and build the
+    ``Fraction`` only for a node that is new.  Either way ``score`` is a
+    ``Fraction``.
+
     ``left`` and ``right`` give the options in the storage order, a total
     order on games, ``g < h``: score first, then the left options, then the
     right options, each list compared lexicographically with a proper
@@ -143,36 +158,14 @@ class Game:
 
     def __new__(cls, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
         score = as_score(score)
-        left = _option_set(left)
-        right = _option_set(right)
-        # Options are interned, so they hash and compare by identity: no
-        # lookup recurses into subtrees.  A Fraction is kept in lowest terms,
-        # so its two ints name it, and ints hash and compare far faster.
-        num, den = score.numerator, score.denominator
-        key = (num, den, left, right)
-        with _INTERN_LOCK:
-            ref = _INTERNED.get(key)
-            node = None if ref is None else ref()
-            if node is None:
-                node = object.__new__(cls)
-                node.score, node._left, node._right, node._key = score, left, right, None
-                # The options were built first, so their scores are known:
-                # one step of the minimax, kept as an int when the score is
-                # integral, which compares faster and exactly with Fractions.
-                first = num if den == 1 else score
-                node._sl = max([o._sr for o in left]) if left else first
-                node._sr = min([o._sl for o in right]) if right else first
-                ref = _InternRef(node, _forget)
-                ref.key = key
-                _INTERNED[key] = ref
-        return node
+        return _intern(score.numerator, score.denominator, score, _option_set(left), _option_set(right))
 
     def __init__(self, score, left: Iterable[Game] = (), right: Iterable[Game] = ()):
         """Nothing left to do: ``__new__`` built or found the node.
 
-        Python calls this on every node ``Game(...)`` returns, so wrapping
-        it, as ``perfbench/layertrace.py`` does, still counts every
-        construction.
+        Python calls this on every node that ``Game(...)`` returns, and on
+        no node that the library interns directly: sums, reflections,
+        parsed games and heap expansions.
         """
 
     def __lt__(self, other):
@@ -287,22 +280,67 @@ def _forget(ref: _InternRef) -> None:
 
 
 # (numerator, denominator, left, right) -> a weak reference to the live node.
-# The lock makes lookup and insertion one step; the removal callbacks never
-# take it.
+# A hit needs no lock; the lock makes a miss's second lookup and its
+# insertion one step.  The removal callbacks never take it.
 _INTERNED: dict[tuple, _InternRef] = {}
 _INTERN_LOCK = threading.Lock()
 
 
+def _intern(num: int, den: int, score: Score | None, left: tuple[Game, ...], right: tuple[Game, ...]) -> Game:
+    """The one node with score ``num/den`` and these options, built if new.
+
+    ``num/den`` must be in lowest terms with ``den > 0``, and ``score`` is
+    ``Fraction(num, den)`` or None, to be built only if the node is new.
+    Each option tuple must be a set of nodes in order of ``id``, as
+    :func:`_id_set` makes it.  A key that broke either rule would intern a
+    second node for an equal game.
+    """
+    # Options are interned, so they hash and compare by identity: no lookup
+    # recurses into subtrees.  A score in lowest terms is named by its two
+    # ints, and ints hash and compare far faster than Fractions.
+    key = (num, den, left, right)
+    ref = _INTERNED.get(key)
+    node = None if ref is None else ref()
+    if node is not None:
+        return node
+    with _INTERN_LOCK:
+        ref = _INTERNED.get(key)  # another thread may have interned it since
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(Game)
+            if score is None:
+                score = Fraction(num, den)
+            node.score, node._left, node._right, node._key = score, left, right, None
+            # The options were built first, so their scores are known: one
+            # step of the minimax, kept as an int when the score is
+            # integral, which compares faster and exactly with Fractions.
+            first = num if den == 1 else score
+            node._sl = max([o._sr for o in left]) if left else first
+            node._sr = min([o._sl for o in right]) if right else first
+            ref = _InternRef(node, _forget)
+            ref.key = key
+            _INTERNED[key] = ref
+    return node
+
+
 def _option_set(options: Iterable[Game]) -> tuple[Game, ...]:
+    """Checked options as :func:`_intern` takes them."""
     opts = tuple(options)
     for opt in opts:
         if not isinstance(opt, Game):
             raise TypeError(f"game options must be Game instances, got {type(opt).__name__}")
-    if len(opts) > 1:
-        # options form a set; equal games are one object, so a set in order
-        # of id is canonical, and a live option keeps its id
-        opts = tuple(sorted(set(opts), key=id))
-    return opts
+    return _id_set(opts)
+
+
+def _id_set(options) -> tuple[Game, ...]:
+    """Nodes deduplicated and in order of ``id``.
+
+    Options form a set; equal games are one object, so a set in order of
+    id is canonical, and a live option keeps its id.
+    """
+    if len(options) > 1:
+        return tuple(sorted(set(options), key=id))
+    return tuple(options)
 
 
 _SORT_KEY = attrgetter("_key")
@@ -359,12 +397,15 @@ def reflect(game: Game, about) -> Game:
     options reflected about twice its score.
     """
     about = as_score(about)
+    an, ad = about.numerator, about.denominator
     done: dict[Game, Game] = {}
     for node in _post_order(game, done, _options):
-        done[node] = Game(
-            about - node.score,
-            [done[child] for child in node._right],
-            [done[child] for child in node._left],
+        score = node.score
+        done[node] = _intern(
+            *_sum_parts(an, ad, -score.numerator, score.denominator),
+            None,
+            _id_set([done[child] for child in node._right]),
+            _id_set([done[child] for child in node._left]),
         )
     return done[game]
 
@@ -387,18 +428,28 @@ def add(g: Game, h: Game) -> Game:
     add.  Every pair of a node under ``g`` and a node under ``h`` is reached,
     and each is built once, after the pairs its options lead to.
     """
-    h_nodes: dict[Game, None] = {}
-    for b in _post_order(h, h_nodes, _options):
-        h_nodes[b] = None
+    h_parts: dict[Game, tuple[int, int]] = {}  # each node's score as (num, den)
+    for b in _post_order(h, h_parts, _options):
+        h_parts[b] = (b.score.numerator, b.score.denominator)
     done: dict[tuple[Game, Game], Game] = {}
     g_nodes: dict[Game, None] = {}
     for a in _post_order(g, g_nodes, _options):
         g_nodes[a] = None
-        for b in h_nodes:
+        an, ad = a.score.numerator, a.score.denominator
+        for b, (bn, bd) in h_parts.items():
             left = [done[al, b] for al in a._left] + [done[a, bl] for bl in b._left]
             right = [done[ar, b] for ar in a._right] + [done[a, br] for br in b._right]
-            done[a, b] = Game(a.score + b.score, left, right)
+            done[a, b] = _intern(*_sum_parts(an, ad, bn, bd), None, _id_set(left), _id_set(right))
     return done[g, h]
+
+
+def _sum_parts(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """``an/ad + bn/bd`` as ints in lowest terms, from two such pairs."""
+    if ad == 1 and bd == 1:
+        return an + bn, 1
+    num, den = an * bd + bn * ad, ad * bd
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 class FinalScores(NamedTuple):
@@ -415,7 +466,11 @@ def final_scores(game: Game) -> FinalScores:
     node's own score.  Every node computed its pair when it was built (see
     :class:`Game`), so this reads the root's pair and walks nothing.
     """
-    return FinalScores(Fraction(game._sl), Fraction(game._sr))
+    sl, sr = game._sl, game._sr  # each an int, or a Fraction when not integral
+    return FinalScores(
+        sl if type(sl) is Fraction else Fraction(sl),
+        sr if type(sr) is Fraction else Fraction(sr),
+    )
 
 
 def _post_order(root, done, children) -> Iterator:
@@ -534,8 +589,9 @@ def parse_game(text: str) -> Game:
     tokens = _TOKEN_RE.finditer(text)
     token = next(tokens)
 
-    def take(wanted: str | None = None) -> Score | None:
-        """Consume the current token: the character ``wanted``, or else a score."""
+    def take(wanted: str | None = None) -> tuple[int, int] | None:
+        """Consume the current token: the character ``wanted``, or else a
+        score, returned as :func:`_score_parts` gives it."""
         nonlocal token
         current, at = token, token.start(1)
         if (current[2] is None) if wanted is None else (current[1] != wanted):
@@ -543,10 +599,10 @@ def parse_game(text: str) -> Game:
             found = current[1][:1] or "end of input"
             raise NotationError(f"expected {expected}, found {found!r}", at)
         token = next(tokens)
-        return _score_from_token(current[2], at) if wanted is None else None
+        return _score_parts(current[2], at) if wanted is None else None
 
-    # One frame per open brace: [score, left options] until the left
-    # options end, then [score, left options, right options].
+    # One frame per open brace: [score parts, left options] until the left
+    # options end, then [score parts, left options, right options].
     frames: list[list] = []
     while True:
         if token[1] == "{":
@@ -554,7 +610,7 @@ def parse_game(text: str) -> Game:
             frames.append([None, []])
             game = None  # an option list starts
         else:
-            game = Game(take())
+            game = _intern(*take(), None, (), ())
         while frames:  # close every list and brace that this completes
             frame = frames[-1]
             if game is None:
@@ -574,7 +630,8 @@ def parse_game(text: str) -> Game:
                 continue
             take("}")
             frames.pop()
-            game = Game(*frame)
+            (num, den), left, right = frame
+            game = _intern(num, den, None, _id_set(left), _id_set(right))
         else:
             break
     if token[1]:

@@ -27,7 +27,7 @@ from functools import cache, partial
 from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from scoreplay.games import Game, Score, _post_order, as_score, format_score, parse_score
+from scoreplay.games import Game, Score, _intern, _post_order, as_score, format_score, parse_score
 
 _ZERO = Fraction(0)
 
@@ -568,10 +568,14 @@ class GrundySolver:
 
         for key in _post_order((root, 0), games, options):
             cls, offset = key
-            games[key] = Game(
-                as_fraction(offset),
-                [games[nxt, offset + award] for award, nxt in cls],
-                [games[nxt, offset - award] for award, nxt in cls],
+            score = as_fraction(offset)
+            # distinct keys, so distinct nodes: each side is a set already
+            games[key] = _intern(
+                score.numerator,
+                score.denominator,
+                score,
+                tuple(sorted([games[nxt, offset + award] for award, nxt in cls], key=id)),
+                tuple(sorted([games[nxt, offset - award] for award, nxt in cls], key=id)),
             )
         return games[root, 0]
 

@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import itertools
+import math
 import pickle
 import random
 import sys
@@ -46,8 +47,8 @@ from scoreplay.games import (
     render_tree,
     translate,
 )
-from scoreplay.octal import GrundySolver, Position, resolve_rules_ref
-from support import INT_DIGIT_LIMIT, games, naive_final_scores, scores
+from scoreplay.octal import GrundySolver, Position, parse_rules_document, resolve_rules_ref
+from support import INT_DIGIT_LIMIT, games, naive_final_scores, ref_to_game, scores
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,29 @@ def test_parse_score_rejects_junk():
     for bad in ["", "x", "1/0", "2.5.1", "1 2"]:
         with pytest.raises(NotationError):
             parse_score(bad)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("-0", Fraction(0)),
+        ("+7", Fraction(7)),
+        ("007", Fraction(7)),
+        ("2.25", Fraction(9, 4)),
+        ("-7/3", Fraction(-7, 3)),
+        ("4/6", Fraction(2, 3)),
+    ],
+)
+def test_score_literals_parse_to_the_game_of_their_exact_score(text, value):
+    """Leaves and inner nodes read a literal's score as ints in lowest
+    terms, so ``4/6`` is the very node ``Game(Fraction(2, 3))``."""
+    assert parse_score(text) == value and type(parse_score(text)) is Fraction
+    leaf = parse_game(text)
+    assert leaf is Game(value)
+    assert type(leaf.score) is Fraction and leaf.score == value
+    node = parse_game(f"{{{text}|{text}|{text}}}")
+    assert node is Game(value, [leaf], [leaf])
+    assert type(node.score) is Fraction and node.score == value
 
 
 def test_format_score_integers_bare_fractions_slashed():
@@ -180,6 +204,11 @@ def test_over_long_score_literal_is_a_notation_error():
     for text in [digits, f"1/{digits}", f" -0.{digits}"]:
         with pytest.raises(NotationError, match=r"^score literal has too many digits \(at character 0\)$"):
             parse_score(text)
+    for text, position in [("{0|" + digits + "|}", 3), (f"{{0,-{digits}|0|}}", 3), (f"{{|0|1/{digits}}}", 4)]:
+        with pytest.raises(NotationError) as info:
+            parse_game(text)
+        assert str(info.value) == f"score literal has too many digits (at character {position})"
+        assert info.value.position == position
 
 
 @pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="str() converts any number of digits")
@@ -255,9 +284,14 @@ def test_final_scores_are_the_same_on_every_call_and_on_a_rebuilt_game():
     ids=["integral", "fractional", "mixed-integral-max", "mixed-fractional-max", "number"],
 )
 def test_final_scores_are_fractions_whatever_the_option_scores(text, expected):
-    pair = final_scores(parse_game(text))
+    game = parse_game(text)
+    pair = final_scores(game)
     assert pair == expected
     assert (type(pair.sl), type(pair.sr)) == (Fraction, Fraction)
+    # a node stores a final score as an int when integral, else as a
+    # Fraction, which comes back as it is
+    for got, stored in zip(pair, (game._sl, game._sr)):
+        assert got is stored if type(stored) is Fraction else type(stored) is int
 
 
 @pytest.mark.parametrize(
@@ -894,13 +928,17 @@ def test_cli_call_leaves_no_games_behind(capsys):
 
 def test_threads_building_the_same_games_get_the_same_objects():
     texts = [render_game(generate_impartial(max_depth=3, max_branch=3, seed=9000 + i)) for i in range(200)]
-    # only the texts outlive the line above, so the threads race to intern each game
+    addends = [render_game(generate_impartial(max_depth=1, max_branch=2, seed=9500 + i)) for i in range(200)]
+    # only the texts outlive the lines above, so the threads race to intern
+    # each game, and each sum and reflection of one
     barrier = threading.Barrier(4)
     built: list[list[Game]] = [[] for _ in range(4)]
 
     def build(out: list[Game]) -> None:
         barrier.wait(timeout=30)
-        out.extend(parse_game(text) for text in texts)
+        for text, addend in zip(texts, addends):
+            game = parse_game(text)
+            out += (game, add(game, parse_game(addend)), reflect(game, Fraction(1, 3)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -913,10 +951,101 @@ def test_threads_building_the_same_games_get_the_same_objects():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert all(len(out) == len(texts) for out in built)
+    assert all(len(out) == 3 * len(texts) for out in built)
     for games_a, games_b in zip(built, built[1:]):
         assert all(a is b for a, b in zip(games_a, games_b))
-    assert [render_game(g) for g in built[0]] == texts
+    assert [render_game(g) for g in built[0][::3]] == texts
+    # one table entry per live node: every node is its key's entry, and no
+    # other entry holds it
+    gc.collect()
+    nodes = {node for root in built[0] for node in _nodes(root)}
+    for node in nodes:
+        assert _INTERNED[node.score.numerator, node.score.denominator, node._left, node._right]() is node
+    held = [ref() for ref in list(_INTERNED.values())]
+    assert sum(node in nodes for node in held) == len(nodes)
+
+
+# ---------------------------------------------------------------------------
+# Sums, reflections, parsing and heap expansions intern from integer score
+# parts, and find the very nodes that Fraction arithmetic through the public
+# constructor finds
+
+
+def _ref_add(g: Game, h: Game, memo: dict) -> Game:
+    if (g, h) not in memo:
+        left = [_ref_add(o, h, memo) for o in g.left] + [_ref_add(g, o, memo) for o in h.left]
+        right = [_ref_add(o, h, memo) for o in g.right] + [_ref_add(g, o, memo) for o in h.right]
+        memo[g, h] = Game(g.score + h.score, left, right)
+    return memo[g, h]
+
+
+def _ref_reflect(g: Game, about: Fraction, memo: dict) -> Game:
+    if g not in memo:
+        left = [_ref_reflect(o, about, memo) for o in g.right]
+        right = [_ref_reflect(o, about, memo) for o in g.left]
+        memo[g] = Game(about - g.score, left, right)
+    return memo[g]
+
+
+def _assert_same_nodes_as_fraction_arithmetic(g: Game, h: Game, c: Fraction) -> None:
+    assert add(g, h) is _ref_add(g, h, {})
+    assert reflect(g, c) is _ref_reflect(g, c, {})
+    assert negate(g) is _ref_reflect(g, Fraction(0), {})
+    assert translate(g, c) is _ref_add(g, Game(c), {})
+    assert parse_game(render_game(g)) is g
+
+
+def _assert_interned_in_lowest_terms() -> None:
+    """A key not in lowest terms would intern a second node for an equal game."""
+    for (num, den, _, _), ref in list(_INTERNED.items()):
+        assert den > 0 and math.gcd(num, den) == 1
+        node = ref()
+        if node is not None:
+            assert type(node.score) is Fraction
+            assert (node.score.numerator, node.score.denominator) == (num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(games, games, scores)
+def test_integer_score_parts_build_the_nodes_fraction_arithmetic_builds(g, h, c):
+    _assert_same_nodes_as_fraction_arithmetic(g, h, c)
+    _assert_same_nodes_as_fraction_arithmetic(h, g, -c)
+    _assert_interned_in_lowest_terms()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(-1, 2), Fraction(1, 2)),
+        (Fraction(1, 6), Fraction(1, 10)),
+        (Fraction(2**64 + 1), Fraction(2**64 - 1, 3)),
+        (Fraction(-(2**65)), Fraction(2**64, 5)),
+        (Fraction(10**400), Fraction(-(10**400))),
+        (Fraction(10**400, 3), Fraction(-(10**400) + 1, 6)),
+    ],
+    ids=["halves", "thirds", "to-zero", "sixth-tenth", "past-2**64", "negative-past-2**64", "10**400", "10**400-fractional"],
+)
+def test_scores_that_reduce_or_outgrow_machine_ints_build_the_same_nodes(a, b):
+    g = Game(a, [Game(b), Game(a, [Game(b)], [Game(-a)])], [Game(-a), Game(a + b)])
+    h = Game(b, [Game(a)], [Game(b), Game(-b)])
+    assert add(Game(a), Game(b)) is Game(a + b)
+    assert reflect(Game(b), a) is Game(a - b)
+    for x, y in [(g, h), (h, g), (g, g), (Game(a), Game(b))]:
+        for c in (a, b, a + b):
+            _assert_same_nodes_as_fraction_arithmetic(x, y, c)
+    _assert_interned_in_lowest_terms()
+
+
+def test_heap_expansion_with_reducing_awards_builds_the_same_nodes():
+    rules = (
+        parse_rules_document("name: thirds; digits: 3 3 7; points: 1/3 1/6 -1/2"),
+        parse_rules_document("name: band; digits: 1 0 0 6; points: 1 1/2 1 -1"),
+    )
+    position = Position([("thirds", 6), ("band", 5), ("thirds", 2)])
+    assert GrundySolver(rules).to_game(position) is ref_to_game(position, rules)
+    _assert_interned_in_lowest_terms()
 
 
 # ---------------------------------------------------------------------------
