@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -100,6 +101,11 @@ class OctalRules:
 
 _MAX_TAKE = 2**20  # largest removal a generated ruleset allows
 
+# A single-heap sweep hashes its lookback windows modulo this prime, then
+# compares windows whose hashes match exactly; any modulus gives the same values.
+_WINDOW_HASH_MODULUS = 2**61 - 1
+_WINDOW_HASH_BASE = 1_000_003
+
 
 def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
     """Remove exactly s beans for s in the set; the mover scores s points.
@@ -107,7 +113,8 @@ def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
     Named ``sub45`` while every amount is below 10, else ``sub-1-10``.
     An amount above ``2**20`` is refused: the rules hold one digit per size.
     """
-    cleaned = sorted(set(int(a) for a in amounts))
+    taken = {int(a) for a in amounts}
+    cleaned = sorted(taken)
     if not cleaned or cleaned[0] < 1:
         raise RulesError(f"subtraction amounts must be positive integers: {cleaned}")
     top = cleaned[-1]
@@ -115,8 +122,8 @@ def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
         raise RulesError(f"subtraction amount {top} is above the limit {_MAX_TAKE}")
     joiner = "" if top <= 9 else "-"
     name = "sub" + "".join(joiner + str(a) for a in cleaned)
-    digits = tuple(3 if k in cleaned else 0 for k in range(1, top + 1))
-    points = tuple(Fraction(k) if k in cleaned else _ZERO for k in range(1, top + 1))
+    digits = tuple(3 if k in taken else 0 for k in range(1, top + 1))
+    points = tuple(Fraction(k) if k in taken else _ZERO for k in range(1, top + 1))
     return OctalRules(name, digits, points)
 
 
@@ -478,11 +485,14 @@ class GrundySolver:
         With an empty base and a ruleset that never splits a heap, every
         position reached is a single heap of that ruleset, so the sweep runs
         the recurrence ``v[n] = max(points[k] - v[n - k])`` over a flat table
-        of scaled ints.  The table is the result and is not kept; while it
-        is built it counts against the budget with the memo, so a table that
-        cannot fit is refused before any entry is computed.  Every other
-        sweep evaluates each entry as :meth:`value` does.  The values are
-        the same either way.
+        of scaled ints.  Once the last ``span`` entries, ``span`` the longest
+        move that leaves a heap, equal an earlier such window, the rest of
+        the table repeats the entries between the two windows, by the
+        induction in :func:`scoreplay.periods.certify_period`.  The table is
+        the result and is not kept; while it is built it counts against the
+        budget with the memo, so a table that cannot fit is refused before
+        any entry is computed.  Every other sweep evaluates each entry as
+        :meth:`value` does.  The values are the same either way.
         """
         _require_position(base, self.rules)
         if max_n < 0:
@@ -497,7 +507,15 @@ class GrundySolver:
         return self._single_heap_table(rules, max_n)
 
     def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
-        """Scaled values of single heaps 0..max_n."""
+        """Scaled values of single heaps 0..max_n, filled from a repeat as :meth:`sweep` says.
+
+        Past the digit count, Brent's cycle search compares the window of the
+        last ``span`` entries with an anchor window, which moves up to the
+        newest window at doubling distances: by a rolling hash, and exactly
+        on a hash match.  On the first exact match the table is filled by
+        repeating the entries since the anchor.  Checking a window costs
+        O(1) whatever the span, and the search holds two hashes.
+        """
         table: list[int] = []
         digits = rules.digits
         awards = self._awards[rules.name]
@@ -507,15 +525,36 @@ class GrundySolver:
             if n and digits[n - 1] & 1:
                 options.append(awards[n - 1])  # take the whole heap; nothing is left
             table.append(max(options, default=0))
-        # past len(digits) beans every move leaves a heap, and table[-take] is v[n - take]
-        if keeps:
-            kept_awards = [award for _, award in keeps]
-            back = [-take for take, _ in keeps]
-            entry = table.__getitem__
-            for _ in range(len(table), max_n + 1):
-                table.append(max(map(sub, kept_awards, map(entry, back))))
-        else:  # no move leaves a heap, so these heaps have no move at all
+        if not keeps:  # no move leaves a heap, so these heaps have no move at all
             table.extend([0] * (max_n + 1 - len(table)))
+        if len(table) > max_n:
+            return table
+        # past len(digits) beans every move leaves a heap, and table[-take] is v[n - take]
+        kept_awards = [award for _, award in keeps]
+        back = [-take for take, _ in keeps]
+        entry = table.__getitem__
+        span = keeps[-1][0]
+        modulus, base = _WINDOW_HASH_MODULUS, _WINDOW_HASH_BASE
+        shift_out = pow(base, span, modulus)
+        window = 0  # hash of the last span entries
+        for value in table[-span:]:
+            window = (window * base + value) % modulus
+        # the entry that leaves the window as each entry comes in, read as the table grows
+        leaving = islice(table, len(table) - span, None)
+        stride = 1
+        while len(table) <= max_n:
+            anchor, anchor_window = len(table), window
+            for old in islice(leaving, min(stride, max_n + 1 - anchor)):
+                value = max(map(sub, kept_awards, map(entry, back)))
+                window = (window * base + value - old * shift_out) % modulus
+                table.append(value)
+                if window == anchor_window and table[anchor - span : anchor] == table[-span:]:
+                    period = table[anchor:]
+                    whole, part = divmod(max_n + 1 - len(table), len(period))
+                    table += period * whole
+                    table += period[:part]
+                    return table
+            stride *= 2
         return table
 
     def _budget_error(self, position: Position) -> BudgetExceededError:

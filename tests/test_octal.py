@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import math
 import os
 import pickle
 import subprocess
@@ -10,6 +11,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -617,6 +619,112 @@ def test_generic_sweeps_keep_their_memo_growth(rules, base):
     reference = GrundySolver(rules)
     assert solver.sweep(14, base=base) == generic_sweep(reference, 14, rules.name, base)
     assert solver.positions_evaluated == reference.positions_evaluated
+
+
+# ---------------------------------------------------------------------------
+# The single-heap table's fill from a repeated window, against a plain loop
+
+
+def recurrence(rules, max_n):
+    """Single-heap values 0..max_n by the plain loop ``v[n] = max(points[k] - v[n - k])``,
+    each times the LCM of the award denominators: no window, no fill."""
+    scale = math.lcm(*(p.denominator for p in rules.points))
+    moves = [
+        (take, digit, int(points * scale))
+        for take, (digit, points) in enumerate(zip(rules.digits, rules.points), start=1)
+        if digit
+    ]
+    values = []
+    for n in range(max_n + 1):
+        options = [award - values[n - take] for take, digit, award in moves if take < n and digit & 2]
+        options += [award for take, digit, award in moves if take == n and digit & 1]
+        values.append(max(options, default=0))
+    return values
+
+
+def assert_sweep_is_the_recurrence(rules, max_n):
+    solver = GrundySolver(rules)
+    assert solver.scale == math.lcm(*(p.denominator for p in rules.points))
+    assert solver.sweep(max_n) == recurrence(rules, max_n)
+
+
+def first_repeated_window(values, span, start):
+    """Smallest n >= start with ``values[n - span:n] == values[m - span:m]``
+    for some m in start..n - 1, or None."""
+    seen = set()
+    for n in range(start, len(values) + 1):
+        window = tuple(values[n - span : n])
+        if window in seen:
+            return n
+        seen.add(window)
+    return None
+
+
+@pytest.mark.parametrize(
+    "rules, max_n",
+    [
+        (SUB45, 300),
+        (subtraction_rules((3,)), 100),
+        (subtraction_rules((4, 6, 7)), 400),
+        (subtraction_rules((5, 6)), 400),
+        (subtraction_rules(range(1, 8)), 200),
+        (subtraction_rules((1, 30)), 2000),
+        (rules_from_name("o3333p2"), 100),
+        (OctalRules("h", (1, 0, 3, 2), (Fraction(1, 2), 0, Fraction(-7, 3), 1)), 300),
+    ],
+    ids=lambda x: x.name if isinstance(x, OctalRules) else str(x),
+)
+def test_fill_is_exact_when_every_window_hash_collides(monkeypatch, rules, max_n):
+    """Modulo 1 every window hashes alike, so only the exact comparison
+    tells a repeat from a collision."""
+    monkeypatch.setattr(octal, "_WINDOW_HASH_MODULUS", 1)
+    assert_sweep_is_the_recurrence(rules, max_n)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_fill_around_the_first_repeat_of_the_latest_known_preperiod(k):
+    """{k - 1, k} has preperiod (2k - 1)(k - 2) and period 2k, so its first
+    window of k values to repeat ends 3k past the preperiod.  Every sweep
+    from just short of that repeat to past a whole period of fills is exact."""
+    rules = subtraction_rules((k - 1, k))
+    preperiod = (2 * k - 1) * (k - 2)
+    reference = recurrence(rules, 3 * (preperiod + 3 * k))
+    first = first_repeated_window(reference, k, k + 1)
+    assert first == preperiod + 3 * k
+    solver = GrundySolver(rules)
+    for max_n in range(first - 3, 2 * first + 2 * k):
+        assert solver.sweep(max_n) == reference[: max_n + 1]
+    assert solver.sweep(len(reference) - 1) == reference
+
+
+def test_a_window_that_never_repeats_is_computed_to_the_end():
+    """sub-99-100's first repeated window would end at 19,802."""
+    rules = subtraction_rules((99, 100))
+    reference = recurrence(rules, 19_000)
+    assert first_repeated_window(reference, 100, 101) is None
+    assert GrundySolver(rules).sweep(19_000) == reference
+
+
+def test_a_long_span_fills_exactly():
+    assert_sweep_is_the_recurrence(subtraction_rules((1, 5000)), 200_000)
+
+
+def test_a_repeating_sweep_stops_computing(monkeypatch):
+    """sub45 repeats within its first 60 entries, so a sweep to 10,000
+    computes a few dozen entries by the recurrence, not 10,000."""
+    subtractions = []
+    monkeypatch.setattr(octal, "sub", lambda a, b: subtractions.append(1) or a - b)
+    assert GrundySolver(SUB45).sweep(10_000) == recurrence(SUB45, 10_000)
+    assert 0 < len(subtractions) <= 2 * 60  # one per move that leaves a heap
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_splitting_rules, st.integers(0, 600), st.sampled_from([octal._WINDOW_HASH_MODULUS, 1]))
+def test_fill_matches_the_recurrence_on_random_rules(rules, max_n, modulus):
+    """Fractional and negative awards, emptying-only and surviving digits,
+    past the fill; modulo 1 every window hashes alike."""
+    with mock.patch.object(octal, "_WINDOW_HASH_MODULUS", modulus):
+        assert_sweep_is_the_recurrence(rules, max_n)
 
 
 # ---------------------------------------------------------------------------
