@@ -189,13 +189,16 @@ def parse_rules_document(text: str) -> OctalRules:
 def rules_from_name(name: str) -> OctalRules | None:
     """The ruleset named ``name``: a preset, or a generated name like ``sub45``, ``sub-1-10`` or ``nim9``.
 
-    Any other spelling of a set, such as ``sub54``, names no ruleset.
+    Another spelling of a set (``sub54``) or a take the builders refuse (``nim0``) names no ruleset.
     """
     match = re.fullmatch(r"nim(\d+)|sub([1-9]+)|sub((?:-\d+)+)", name)
     if match is None:
         return PRESETS.get(name)
     nim, run, dashed = match.groups()
-    rules = standard_nim(int(nim)) if nim else subtraction_rules(run or dashed.split("-")[1:])
+    try:  # int() refuses an over-long digit string, and the builders a zero or too large a take
+        rules = standard_nim(int(nim)) if nim else subtraction_rules(run or dashed.split("-")[1:])
+    except ValueError:
+        return None
     return rules if rules.name == name else None
 
 
@@ -395,10 +398,12 @@ class GrundySolver:
     scores of :meth:`to_game`, one Fraction per distinct value.
 
     :meth:`value` and :meth:`to_game` walk positions through one
-    generator, which builds each position's moves once and drops them as
-    soon as the position is done.  :meth:`to_game` expands one node per
-    class of positions and running score; a class is its interned shape.
-    Every entry point refuses anything but a :class:`Position` of loaded rulesets.
+    generator, which builds each position's moves once per walk and drops
+    them as soon as the position is done; the two keep separate memos, so
+    a caller of both builds each position's moves twice.  :meth:`to_game`
+    expands one node per class of positions and running score; a class is
+    its interned shape.  Every entry point refuses anything but a
+    :class:`Position` of loaded rulesets.
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
@@ -485,13 +490,13 @@ class GrundySolver:
         With an empty base and a ruleset that never splits a heap, every
         position reached is a single heap of that ruleset, so the sweep runs
         the recurrence ``v[n] = max(points[k] - v[n - k])`` over a flat table
-        of scaled ints.  Once the last ``span`` entries, ``span`` the longest
-        move that leaves a heap, equal an earlier such window, the rest of
-        the table repeats the entries between the two windows, by the
-        induction in :func:`scoreplay.periods.certify_period`.  The table is
-        the result and is not kept; while it is built it counts against the
-        budget with the memo, so a table that cannot fit is refused before
-        any entry is computed.  Every other sweep evaluates each entry as
+        of scaled ints.  Once the last f entries, f the digit count, equal
+        an earlier such window, the rest of the table repeats the entries
+        between the two windows, by the induction in
+        :func:`scoreplay.periods.certify_period`.  The table is the result
+        and is not kept; while it is built it counts against the budget
+        with the memo, so a table that cannot fit is refused before any
+        entry is computed.  Every other sweep evaluates each entry as
         :meth:`value` does.  The values are the same either way.
         """
         _require_position(base, self.rules)
@@ -509,12 +514,11 @@ class GrundySolver:
     def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
         """Scaled values of single heaps 0..max_n, filled from a repeat as :meth:`sweep` says.
 
-        Past the digit count, Brent's cycle search compares the window of the
-        last ``span`` entries with an anchor window, which moves up to the
-        newest window at doubling distances: by a rolling hash, and exactly
-        on a hash match.  On the first exact match the table is filled by
-        repeating the entries since the anchor.  Checking a window costs
-        O(1) whatever the span, and the search holds two hashes.
+        Past the digit count f, Brent's cycle search compares the window of
+        the last f entries with an anchor window, moved up at doubling
+        distances: by a rolling hash, then exactly.  On the first exact
+        match the table repeats the entries since the anchor.  Checking a
+        window costs O(1) whatever f is, and the search holds two hashes.
         """
         table: list[int] = []
         digits = rules.digits
@@ -533,14 +537,14 @@ class GrundySolver:
         kept_awards = [award for _, award in keeps]
         back = [-take for take, _ in keeps]
         entry = table.__getitem__
-        span = keeps[-1][0]
+        lookback = len(digits)
         modulus, base = _WINDOW_HASH_MODULUS, _WINDOW_HASH_BASE
-        shift_out = pow(base, span, modulus)
-        window = 0  # hash of the last span entries
-        for value in table[-span:]:
+        shift_out = pow(base, lookback, modulus)
+        window = 0  # hash of the last lookback entries
+        for value in table[-lookback:]:
             window = (window * base + value) % modulus
         # the entry that leaves the window as each entry comes in, read as the table grows
-        leaving = islice(table, len(table) - span, None)
+        leaving = islice(table, len(table) - lookback, None)
         stride = 1
         while len(table) <= max_n:
             anchor, anchor_window = len(table), window
@@ -548,7 +552,7 @@ class GrundySolver:
                 value = max(map(sub, kept_awards, map(entry, back)))
                 window = (window * base + value - old * shift_out) % modulus
                 table.append(value)
-                if window == anchor_window and table[anchor - span : anchor] == table[-span:]:
+                if window == anchor_window and table[anchor - lookback : anchor] == table[-lookback:]:
                     period = table[anchor:]
                     whole, part = divmod(max_n + 1 - len(table), len(period))
                     table += period * whole

@@ -1,9 +1,9 @@
 """Eventual-period analysis of exact value sequences, plus evidence scans.
 
 Detection finds the smallest period and preperiod visible in a finite
-sequence.  For single-heap games whose digits never split a heap, the value
-recurrence only looks back as far as the digit count, so a verified window
-certifies the period forever.  Scanners only ever report evidence; nothing
+sequence.  For single-heap games whose digits never split a heap,
+:func:`certify_period` proves a detected period continues forever; its
+docstring holds the argument.  Scanners only ever report evidence; nothing
 here asserts a conjecture is true.
 """
 
@@ -62,12 +62,9 @@ class PeriodReport:
     certified: bool = False
 
 
-def verify_period(values: Sequence[Score], preperiod: int, period: int) -> bool:
+def verify_period(values: Sequence[Score | int], preperiod: int, period: int) -> bool:
     """Recheck v(n+period) == v(n) for every n from preperiod to the end."""
-    last = len(values) - 1
-    return all(
-        values[n + period] == values[n] for n in range(preperiod, last - period + 1)
-    )
+    return all(values[n + period] == values[n] for n in range(preperiod, len(values) - period))
 
 
 def _check_window(count: int, min_window: int) -> None:
@@ -118,6 +115,11 @@ def certified_start(rules: OctalRules, report: PeriodReport) -> int:
     return max(report.preperiod, len(rules.digits) + 1)
 
 
+def _window_end(rules: OctalRules, report: PeriodReport) -> int:
+    """Values :func:`certify_period` reads for ``report``: indices up to one below this."""
+    return certified_start(rules, report) + 2 * report.period + len(rules.digits)
+
+
 def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Score | int]) -> bool:
     """Prove a detected period of a single-heap sweep continues forever.
 
@@ -150,18 +152,13 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
     """
     if rules.splits_heaps:
         return False
-    lookback = len(rules.digits)
-    start = certified_start(rules, report)
-    needed = start + 2 * report.period + lookback
+    needed = _window_end(rules, report)
     if len(values) < needed:
         raise ValueError(
             f"certification window needs values through n={needed - 1}, "
             f"have up to n={len(values) - 1}"
         )
-    return all(
-        values[n + report.period] == values[n]
-        for n in range(start, start + report.period + lookback)
-    )
+    return verify_period(values[:needed], certified_start(rules, report), report.period)
 
 
 def detect_certified_period(
@@ -172,29 +169,22 @@ def detect_certified_period(
 ) -> PeriodReport | None:
     """Detection that prefers a provable period over a shorter empirical one.
 
-    Walks the qualifying candidates in ascending period order and returns
-    the first that certification proves, marked certified.  A certificate
-    is a proof, so a spurious short period (say, a constant run at the end
-    of the sequence) can never win here: it either lacks the data for its
-    window or fails verification, and the search moves on.  When nothing
-    certifies — too short a sweep — the plain :func:`detect_period` answer
-    is returned unmarked, or None if there is no candidate at all.  A sweep
-    over a nonempty ``base`` or under splitting rules gets that answer
-    directly: the proof needs an empty base and no splits.  ``values`` are
-    as for :func:`detect_period`.
+    Returns the first qualifying candidate, in ascending period order,
+    whose :func:`certify_period` window fits in ``values``, certified: the
+    candidate scan compared every pair from its preperiod to the end, so
+    the window holds.  A spurious short period, such as a constant run at
+    the end, has its window run past the end.  When no window fits, the
+    :func:`detect_period` answer is returned unmarked, or None; so it is
+    for a nonempty ``base`` or splitting rules, as the proof needs neither.
+    ``values`` are as for :func:`detect_period`.
     """
     if base or rules.splits_heaps:
         return detect_period(values, min_window)
     first: PeriodReport | None = None
     for candidate in _period_candidates(values, min_window):
-        if first is None:
-            first = candidate
-        try:
-            proven = certify_period(rules, candidate, values)
-        except ValueError:
-            continue
-        if proven:
-            return replace(candidate, certified=True)
+        if _window_end(rules, candidate) <= len(values):
+            return replace(candidate, certified=certify_period(rules, candidate, values))
+        first = first or candidate
     return first
 
 
@@ -360,7 +350,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
     optional ``fixed=``, ``max-n=``, ``min-window=``, ``budget=`` settings.
     """
     seed = 0
-    settings = dict(_SETTING_DEFAULTS)
+    settings: dict[str, int | None] = {}  # by ScanInstance field; unset fields keep their defaults
     instances: list[ScanInstance] = []
     seen_names: set[str] = set()
 
@@ -382,14 +372,13 @@ def parse_scan_spec(text: str) -> ScanSpec:
         value = value.strip()
         try:
             if key == "seed":
-                seed = int(value)
-            elif key in settings:
-                settings[key] = _parse_setting(key, value)
+                seed = _parse_setting(key, value)
+            elif key in _SETTING_FIELDS:
+                settings[_SETTING_FIELDS[key]] = _parse_setting(key, value)
             elif key == "subtraction-family":
                 ground = _parse_ground_set(value)
                 for subset in _nonempty_subsets(ground):
-                    rules = subtraction_rules(subset)
-                    add_instance(ScanInstance(rules, (), Position(), *settings.values()))
+                    add_instance(ScanInstance(subtraction_rules(subset), **settings))
             elif key == "instance":
                 add_instance(_parse_instance_line(value, settings))
             else:
@@ -402,13 +391,18 @@ def parse_scan_spec(text: str) -> ScanSpec:
     return ScanSpec(seed, tuple(instances), digest)
 
 
-# spec key -> default, for ScanInstance's trailing fields max_n, min_window, budget
-_SETTING_DEFAULTS = {f.name.replace("_", "-"): f.default for f in fields(ScanInstance)[-3:]}
+# spec key -> the ScanInstance field it sets
+_SETTING_FIELDS = {"max-n": "max_n", "min-window": "min_window", "budget": "budget"}
 
 
 def _parse_setting(key: str, value: str) -> int | None:
-    """A ``max-n``, ``min-window`` or ``budget`` value; ``budget`` also takes ``none``."""
-    return None if key == "budget" and value.lower() == "none" else int(value)
+    """A ``seed``, ``max-n``, ``min-window`` or ``budget`` value; ``budget`` also takes ``none``."""
+    if key == "budget" and value.lower() == "none":
+        return None
+    try:
+        return int(value)
+    except ValueError:  # not an integer, or more digits than int() converts
+        raise ValueError(f"bad {key} value {value!r}") from None
 
 
 _MAX_GROUND = 16  # a family of 2**16 - 1 subsets
@@ -450,8 +444,8 @@ def _parse_instance_line(value: str, defaults: dict[str, int | None]) -> ScanIns
             raise ValueError(f"bad instance setting {token!r}")
         if key == "fixed":
             fixed_literal = setting
-        elif key in settings:
-            settings[key] = _parse_setting(key, setting)
+        elif key in _SETTING_FIELDS:
+            settings[_SETTING_FIELDS[key]] = _parse_setting(key, setting)
         else:
             raise ValueError(f"unknown instance setting {key!r}")
     fixed = parse_position(fixed_literal)
@@ -463,7 +457,7 @@ def _parse_instance_line(value: str, defaults: dict[str, int | None]) -> ScanIns
         if rebuilt is None:
             raise ValueError(f"fixed position references unknown ruleset {name!r}")
         extra.append(rebuilt)
-    return ScanInstance(rules, tuple(extra), fixed, *settings.values())
+    return ScanInstance(rules, tuple(extra), fixed, **settings)
 
 
 def _respects_take_equals_score(rules: OctalRules) -> bool:

@@ -243,9 +243,10 @@ def test_heap_size_with_too_many_digits_names_its_term(run, argv, term):
         (["sub:4,x"], "bad subtraction amounts in 'sub:4,x'"),
         (["nim:x"], "bad heap bound in 'nim:x'"),
         (["nim:0"], "max_take must be at least 1"),
+        (["nim0"], "cannot resolve rules reference 'nim0'"),
         (["sub45", "name: sub45; digits: 3; points: 1"], "conflicting rulesets named 'sub45'"),
     ],
-    ids=["sub-token", "nim-token", "nim-zero", "conflict"],
+    ids=["sub-token", "nim-token", "nim-zero", "nim-zero-name", "conflict"],
 )
 def test_gs_refuses_bad_rules_references(run, rules, message):
     argv = [arg for ref in rules for arg in ("--rules", ref)]

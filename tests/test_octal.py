@@ -146,6 +146,19 @@ def test_rules_from_name_round_trips_generated_names():
     assert rules_from_name("mystery") is None
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["nim0", "sub-0", "sub-5-0", "nim2000000", "sub-2000000", "nim" + "1" * 5000],
+    ids=["nim0", "sub-0", "sub-5-0", "nim2000000", "sub-2000000", "nim-5000-digits"],
+)
+def test_names_the_builders_refuse_name_no_ruleset(name):
+    """A name in the grammar whose take is zero, above the limit or too
+    long for int() names no ruleset, so it cannot be resolved."""
+    assert rules_from_name(name) is None
+    with pytest.raises(RulesError, match="^cannot resolve rules reference '"):
+        resolve_rules_ref(name)
+
+
 # spellings that would rebuild a ruleset under another name: sub45, sub45, sub45, sub-10, nim9
 ALIASES = ["sub54", "sub-4-5", "sub445", "sub-010", "nim09"]
 
@@ -695,6 +708,45 @@ def test_fill_around_the_first_repeat_of_the_latest_known_preperiod(k):
     for max_n in range(first - 3, 2 * first + 2 * k):
         assert solver.sweep(max_n) == reference[: max_n + 1]
     assert solver.sweep(len(reference) - 1) == reference
+
+
+@pytest.mark.parametrize(
+    "digits, points",
+    [
+        ((3, 2, 1), (1, -2, 5)),
+        ((3, 2, 1), (1, 2, 3)),
+        ((2, 3, 0, 1, 1), (1, Fraction(1, 2), 0, 3, -4)),
+        ((3, 0, 0, 0, 1), (1, 0, 0, 0, 7)),
+    ],
+    ids=["321-a", "321-b", "23011", "30001"],
+)
+@pytest.mark.parametrize("modulus", [octal._WINDOW_HASH_MODULUS, 1], ids=["hash", "collide"])
+def test_fill_with_a_lookback_past_the_largest_surviving_take(monkeypatch, digits, points, modulus):
+    """The last digit only empties a heap, so a window of the surviving
+    takes repeats before the window of all f digits does.  Every sweep
+    around both repeats is exact."""
+    monkeypatch.setattr(octal, "_WINDOW_HASH_MODULUS", modulus)
+    rules = OctalRules("h", digits, points)
+    reference = recurrence(rules, 80)
+    surviving = max(take for take, digit in enumerate(digits, start=1) if digit & 2)
+    assert first_repeated_window(reference, surviving, len(digits) + 1) < (
+        first_repeated_window(reference, len(digits), len(digits) + 1)
+    )
+    solver = GrundySolver(rules)
+    for max_n in range(len(reference)):
+        assert solver.sweep(max_n) == reference[: max_n + 1]
+
+
+@pytest.mark.parametrize("modulus", [octal._WINDOW_HASH_MODULUS, 1], ids=["hash", "collide"])
+def test_fill_when_every_move_empties_the_heap(monkeypatch, modulus):
+    """No move leaves a heap, so every heap past the digit count is dead
+    and its window of zeros repeats at once."""
+    monkeypatch.setattr(octal, "_WINDOW_HASH_MODULUS", modulus)
+    rules = OctalRules("h", (1, 0, 1), (2, 0, -1))
+    assert recurrence(rules, 5) == [0, 2, 0, -1, 0, 0]
+    for max_n in range(20):
+        assert_sweep_is_the_recurrence(rules, max_n)
+    assert_sweep_is_the_recurrence(rules, 10_000)
 
 
 def test_a_window_that_never_repeats_is_computed_to_the_end():

@@ -1,5 +1,6 @@
 """Period detection and certification, the alternation identity, scans."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from scoreplay.periods import (
     sequence_digest,
     verify_period,
 )
-from support import non_splitting_rules
+from support import awards, non_splitting_rules
 
 
 def frac(values):
@@ -274,6 +275,120 @@ def test_detection_over_scaled_ints_matches_fractions(rules, max_n, min_window):
     assert sequence_digest(scaled, solver.scale) == sequence_digest(values)
 
 
+def window_end(rules, report):
+    """Values certify_period reads for ``report``, by its docstring."""
+    return certified_start(rules, report) + 2 * report.period + len(rules.digits)
+
+
+# a head of arbitrary ints, then a block repeated to a length of up to 120
+eventually_periodic = st.builds(
+    lambda head, block, length: (head + block * length)[: len(head) + length],
+    st.lists(st.integers(-3, 3), max_size=20),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+    st.integers(0, 120),
+)
+# Rulesets named "h" with any digits, splitting ones included.
+any_rules = st.lists(st.tuples(st.integers(0, 7), awards), min_size=1, max_size=6).filter(
+    lambda moves: any(d for d, _ in moves)
+).map(lambda moves: OctalRules("h", [d for d, _ in moves], [p for _, p in moves]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(non_splitting_rules, eventually_periodic, st.integers(1, 4))
+def test_every_candidate_whose_window_fits_certifies(rules, values, min_window):
+    """The candidate scan compares every pair from a candidate's preperiod
+    to the end, so a window that fits holds nothing it has not compared."""
+    assume(len(values) >= min_window)
+    for candidate in periods._period_candidates(values, min_window):
+        if window_end(rules, candidate) <= len(values):
+            assert certify_period(rules, candidate, values) is True
+        else:
+            with pytest.raises(ValueError, match="certification window"):
+                certify_period(rules, candidate, values)
+
+
+def certify_each_candidate(rules, values, min_window=3, base=Position()):
+    """The search as a loop over the candidates that certifies each one and
+    skips it when certify_period refuses its window: the reference."""
+    if base or rules.splits_heaps:
+        return detect_period(values, min_window)
+    first = None
+    for candidate in periods._period_candidates(values, min_window):
+        if first is None:
+            first = candidate
+        try:
+            proven = certify_period(rules, candidate, values)
+        except ValueError:
+            continue
+        if proven:
+            return replace(candidate, certified=True)
+    return first
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_rules, eventually_periodic, st.integers(1, 4), st.sampled_from([Position(), Position((("h", 3),))]))
+def test_certified_search_matches_certifying_each_candidate(rules, values, min_window, base):
+    assume(len(values) >= min_window)
+    assert detect_certified_period(rules, values, min_window, base) == (
+        certify_each_candidate(rules, values, min_window, base)
+    )
+
+
+@pytest.mark.parametrize(
+    "rules, base, max_n",
+    [
+        (SUB3, Position(), 80),
+        (rules_from_name("sub45"), Position(), 80),
+        (O3333P2, Position(), 80),
+        (OctalRules("h", (3, 2, 1), (1, -2, 5)), Position(), 80),
+        (SUB3, Position((("sub3", 4),)), 80),
+        (rules_from_name("o26"), Position(), 30),
+    ],
+    ids=["sub3", "sub45", "o3333p2", "lookback-past-take", "base", "splitting"],
+)
+def test_certified_search_matches_certifying_each_candidate_on_sweeps(rules, base, max_n):
+    """Every prefix of a sweep, so short sweeps whose windows do not fit
+    yet are among them."""
+    values = GrundySolver(rules).sweep(max_n, base=base)
+    for length in range(1, len(values) + 1):
+        head = values[:length]
+        for min_window in range(1, min(length, 4) + 1):
+            assert detect_certified_period(rules, head, min_window, base) == (
+                certify_each_candidate(rules, head, min_window, base)
+            ), (length, min_window)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [O3333P2, subtraction_rules((1, 2)), subtraction_rules((1, 2, 3)), OctalRules("h", (3, 2, 1), (1, -2, 5))],
+    ids=lambda r: r.name if r.name != "h" else "lookback-past-take",
+)
+def test_a_period_certifies_exactly_when_the_sweep_reaches_its_window_end(rules):
+    values = GrundySolver(rules).sweep(200)
+    proven = detect_certified_period(rules, values)
+    assert proven.certified
+    end = window_end(rules, proven)
+    short = detect_certified_period(rules, values[: end - 1])
+    assert short == replace(proven, certified=False)  # the same first candidate, one value short
+    assert detect_certified_period(rules, values[:end]) == proven
+
+
+@pytest.mark.parametrize("amounts, preperiod, period", [((3,), 0, 6), ((4, 7), 11, 14)])
+def test_a_certified_search_calls_certify_period_once(monkeypatch, amounts, preperiod, period):
+    """Swept to 500, these sets end in a run that detects period 1 first,
+    whose window runs past the sweep: the search skips it without a check
+    and certifies the real period with one."""
+    calls = []
+    certify = periods.certify_period
+    monkeypatch.setattr(periods, "certify_period", lambda *args: calls.append(args[1]) or certify(*args))
+    rules = subtraction_rules(amounts)
+    values = sweep(rules, 500)
+    assert detect_period(values).period == 1
+    report = detect_certified_period(rules, values)
+    assert (report.preperiod, report.period, report.certified) == (preperiod, period, True)
+    assert calls == [PeriodReport(preperiod, period)]
+
+
 # ---------------------------------------------------------------------------
 # Alternation identity
 
@@ -395,6 +510,32 @@ def test_parse_scan_spec_fixed_base_pulls_extra_rules():
 def test_parse_scan_spec_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_scan_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("max-n: x\n", "bad max-n value 'x'"),
+        ("instance: sub45 max-n=x\n", "bad max-n value 'x'"),
+        ("seed: x\n", "bad seed value 'x'"),
+        ("instance: sub45 budget=1.5\n", "bad budget value '1.5'"),
+        ("min-window: none\n", "bad min-window value 'none'"),
+        ("max-n: " + "9" * 5000 + "\n", "bad max-n value '" + "9" * 5000 + "'"),
+        ("instance: sub45 fixed=3@nim0\n", "fixed position references unknown ruleset 'nim0'"),
+    ],
+    ids=["max-n", "instance-max-n", "seed", "budget", "min-window", "over-long", "fixed-nim0"],
+)
+def test_scan_spec_errors_name_the_bad_value(text, message):
+    with pytest.raises(ValueError) as caught:
+        parse_scan_spec(text)
+    assert str(caught.value) == f"scan spec line 1: {message}"
+
+
+def test_family_instances_take_each_setting_by_name():
+    instances = parse_scan_spec("max-n: 7\nmin-window: 2\nbudget: 9\nsubtraction-family: 1-2\n").instances
+    assert {(i.max_n, i.min_window, i.budget, i.extra_rules, i.fixed) for i in instances} == {
+        (7, 2, 9, (), Position())
+    }
 
 
 @pytest.mark.parametrize("ground", ["1-17", "1-8 9-17", "1-100000000000"])
