@@ -99,29 +99,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.set_defaults(handler=_cmd_tree)
 
-    p = sub.add_parser("gs", help="value and best moves of a heap position")
-    p.add_argument("--rules", action="append", required=True, metavar="REF",
-                   help="rules file, preset or generated name, sub:/nim: shorthand, or inline document")
+    heap = argparse.ArgumentParser(add_help=False)  # options of every heap command
+    heap.add_argument("--rules", action="append", required=True, metavar="REF",
+                      help="rules file, preset or generated name, sub:/nim: shorthand, or inline document")
+    heap.add_argument("--budget", type=int, default=ScanInstance.budget)
+    sweep = argparse.ArgumentParser(add_help=False)  # options of the growing-heap commands
+    sweep.add_argument("--max-n", type=int, required=True)
+    sweep.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")
+    sweep.add_argument("--fixed", default="-",
+                       help="base position added to every entry (certification needs an empty base)")
+
+    p = sub.add_parser("gs", parents=[heap], help="value and best moves of a heap position")
     p.add_argument("--position", required=True, help="comma-separated size@ruleset terms, '-' for empty")
-    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.set_defaults(handler=_cmd_gs)
 
-    p = sub.add_parser("table", help="CSV value table for a growing heap")
-    p.add_argument("--rules", action="append", required=True, metavar="REF")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")
-    p.add_argument("--fixed", default="-", help="base position added to every entry")
-    p.add_argument("--budget", type=int, default=ScanInstance.budget)
+    p = sub.add_parser("table", parents=[heap, sweep], help="CSV value table for a growing heap")
     p.add_argument("--format", choices=("csv", "structured"), default="csv")
     p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser("period", help="detect and certify the eventual period of a value sweep")
-    p.add_argument("--rules", action="append", required=True, metavar="REF")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")
-    p.add_argument("--fixed", default="-", help="base position (certification needs an empty base)")
+    p = sub.add_parser("period", parents=[heap, sweep],
+                       help="detect and certify the eventual period of a value sweep")
     p.add_argument("--min-window", type=int, default=ScanInstance.min_window)
-    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.set_defaults(handler=_cmd_period)
 
     p = sub.add_parser("lemma", help="alternation identity for a take-s-score-s subtraction set")
@@ -134,10 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PREFIX", help="also write PREFIX.csv and PREFIX.txt")
     p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("oracle", help="cross-check evaluator values against expanded game trees")
-    p.add_argument("--rules", action="append", required=True, metavar="REF")
+    p = sub.add_parser("oracle", parents=[heap],
+                       help="cross-check evaluator values against expanded game trees")
     p.add_argument("--max-total", type=int, required=True)
-    p.add_argument("--budget", type=int, default=ScanInstance.budget)
     p.set_defaults(handler=_cmd_oracle)
 
     return parser

@@ -30,8 +30,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 Score = Fraction
 
-_ZERO = Fraction(0)
-
 
 class NotationError(ValueError):
     """Bad game notation or score literal."""

@@ -17,6 +17,8 @@ __all__ = [
 ]
 
 import hashlib
+import re
+import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import combinations
@@ -351,15 +353,13 @@ def parse_scan_spec(text: str) -> ScanSpec:
     """
     seed = 0
     settings: dict[str, int | None] = {}  # by ScanInstance field; unset fields keep their defaults
-    instances: list[ScanInstance] = []
-    seen_names: set[str] = set()
+    instances: dict[str, ScanInstance] = {}  # by ruleset name, in spec order
 
     def add_instance(inst: ScanInstance) -> None:
         name = inst.rules.name
-        if name in seen_names:
+        if name in instances:
             raise ValueError(f"duplicate scan instance {name!r}")
-        seen_names.add(name)
-        instances.append(inst)
+        instances[name] = inst
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -388,7 +388,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
     if not instances:
         raise ValueError("scan spec declares no instances")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    return ScanSpec(seed, tuple(instances), digest)
+    return ScanSpec(seed, tuple(instances.values()), digest)
 
 
 # spec key -> the ScanInstance field it sets
@@ -401,7 +401,11 @@ def _parse_setting(key: str, value: str) -> int | None:
         return None
     try:
         return int(value)
-    except ValueError:  # not an integer, or more digits than int() converts
+    except ValueError:
+        if re.fullmatch(r"[+-]?\d+", value):  # more digits than int() converts
+            raise ValueError(
+                f"bad {key} value: more than {sys.get_int_max_str_digits()} digits"
+            ) from None
         raise ValueError(f"bad {key} value {value!r}") from None
 
 
@@ -460,42 +464,30 @@ def _parse_instance_line(value: str, defaults: dict[str, int | None]) -> ScanIns
     return ScanInstance(rules, tuple(extra), fixed, **settings)
 
 
-def _respects_take_equals_score(rules: OctalRules) -> bool:
-    for take, (digit, points) in enumerate(zip(rules.digits, rules.points), start=1):
-        if digit == 0:
-            if points != 0:
-                return False
-        elif digit <= 3:
-            if points != take:
-                return False
-        else:
-            return False
-    return True
+def _conjecture_2k(instance: ScanInstance) -> tuple[int | None, bool]:
+    """The instance's conjectured 2k, and whether it lies in the 2k conjecture's hypothesis.
 
-
-def _largest_remainder_take(rules: OctalRules) -> int | None:
-    """Largest removal size whose digit allows the heap to survive the move."""
-    best = None
-    for take, digit in enumerate(rules.digits, start=1):
-        if digit not in (0, 1):
-            best = take
-    return best
-
-
-def _in_hypothesis(instance: ScanInstance) -> bool:
-    rulesets = (instance.rules,) + instance.extra_rules
-    if any(not _respects_take_equals_score(r) for r in rulesets):
-        return False
-    return _largest_remainder_take(instance.rules) is not None
+    k is the largest take whose digit lets the heap survive (bit 2 or 4)
+    in the varying ruleset; with no such take there is no 2k.  The
+    hypothesis holds when k exists and every ruleset of the instance
+    takes s and scores s: no digit above 3, a take with digit 0 awards 0
+    and every other take awards its size.
+    """
+    k = max((take for take, digit in enumerate(instance.rules.digits, start=1) if digit & 6), default=None)
+    if k is None:
+        return None, False
+    return 2 * k, all(
+        digit <= 3 and points == (take if digit else 0)
+        for rules in (instance.rules, *instance.extra_rules)
+        for take, (digit, points) in enumerate(zip(rules.digits, rules.points), start=1)
+    )
 
 
 def scan_instance(instance: ScanInstance) -> ScanRow:
     """Sweep one instance, detect and (when possible) certify its period."""
     rules = instance.rules
     solver = GrundySolver((rules, *instance.extra_rules), budget=instance.budget)
-    k = _largest_remainder_take(rules)
-    two_k = None if k is None else 2 * k
-    in_hypothesis = _in_hypothesis(instance)
+    two_k, in_hypothesis = _conjecture_2k(instance)
     try:
         # detection compares values with == only, so the scaled ints serve
         values = solver.sweep(instance.max_n, rules.name, instance.fixed)

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from scoreplay import cli, octal, periods
 from scoreplay.cli import main
-from scoreplay.games import MAX_RENDER_CHARS, FinalScores
-from scoreplay.octal import GrundySolver, Position, standard_nim
-from support import INT_DIGIT_LIMIT
+from scoreplay.games import MAX_RENDER_CHARS, FinalScores, format_score
+from scoreplay.octal import GrundySolver, OctalRules, Position, standard_nim
+from scoreplay.periods import ScanInstance
+from support import INT_DIGIT_LIMIT, non_splitting_rules
 
 
 @pytest.fixture
@@ -371,6 +372,54 @@ def test_period_checks_the_window_before_sweeping(run, monkeypatch, argv, messag
 
     monkeypatch.setattr(GrundySolver, "sweep", sweep)
     assert run("period", "--rules", "o26", *argv) == (2, "", f"error: {message}\n")
+
+
+@st.composite
+def period_sweeps(draw):
+    """``(rules, fixed base size or None, max_n, min_window, budget)`` for one
+    ``period`` call.  Splitting sweeps grow fast, so theirs stay short."""
+    rules = draw(non_splitting_rules)
+    digits = list(rules.digits)
+    for _ in range(draw(st.integers(0, 2))):
+        digits[draw(st.integers(0, len(digits) - 1))] |= 4
+    rules = OctalRules(rules.name, digits, rules.points)
+    base = draw(st.none() | st.integers(1, 6))
+    min_window = draw(st.integers(1, 4))
+    max_n = draw(st.integers(min_window - 1, 14 if rules.splits_heaps else 150))
+    budget = draw(st.just(20_000) | st.integers(0, 2 * max_n + 40))  # often near the sweep's size
+    return rules, base, max_n, min_window, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(period_sweeps())
+def test_period_prints_the_line_of_a_one_instance_scan(case):
+    """``period`` and ``scan_instance`` sweep, detect and digest on two paths;
+    the row of the same sweep spells the command's output line."""
+    rules, base, max_n, min_window, budget = case
+    document = "name: {}; digits: {}; points: {}".format(
+        rules.name, " ".join(map(str, rules.digits)), " ".join(map(format_score, rules.points))
+    )
+    argv = ["period", "--rules", document, "--max-n", str(max_n), "--min-window", str(min_window)]
+    argv += ["--budget", str(budget)] + ([] if base is None else ["--fixed", f"{base}@{rules.name}"])
+    fixed = Position(() if base is None else [(rules.name, base)])
+    row = periods.scan_instance(ScanInstance(rules, (), fixed, max_n, min_window, budget))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if row.status == "budget-exceeded":
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: position budget exceeded")
+        return
+    if row.status == "not-found":
+        line = "period=none"
+    else:
+        certified_from = "" if row.certified_from is None else f" certified_from={row.certified_from}"
+        line = (
+            f"preperiod={row.preperiod} period={row.period} "
+            f"certified={'true' if row.certified else 'false'}{certified_from}"
+        )
+    assert code == 0
+    assert out.getvalue() == f"{line} checked_up_to={row.max_n} values_digest={row.values_digest}\n"
 
 
 def test_negative_budget_is_refused(run):

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +74,36 @@ def private_attribute_reads(module) -> list[str]:
 def test_callers_use_only_public_members(module):
     """The CLI and the scans reach the solver through its public methods."""
     assert private_attribute_reads(module) == []
+
+
+def private_module_names(tree: ast.Module) -> set[str]:
+    """The ``_name``s a module binds at its top level, dunders aside."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_module_name_is_used():
+    """Each module-level ``_name`` in the package is read in its own module
+    or imported from it by another module of the package."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(scoreplay.__file__).parent.glob("*.py")}
+    imported = {
+        (node.module.removeprefix("scoreplay."), alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("scoreplay.")
+        for alias in node.names
+    }
+    unused = []
+    for stem, tree in sorted(trees.items()):
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{stem}.{name}" for name in sorted(private_module_names(tree))
+                   if name not in read and (stem, name) not in imported]
+    assert unused == []

@@ -24,7 +24,7 @@ from scoreplay.periods import (
     sequence_digest,
     verify_period,
 )
-from support import awards, non_splitting_rules
+from support import INT_DIGIT_LIMIT, awards, non_splitting_rules
 
 
 def frac(values):
@@ -512,6 +512,9 @@ def test_parse_scan_spec_errors(text, fragment):
         parse_scan_spec(text)
 
 
+NINES = "9" * 5000  # more digits than int() converts
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -520,10 +523,15 @@ def test_parse_scan_spec_errors(text, fragment):
         ("seed: x\n", "bad seed value 'x'"),
         ("instance: sub45 budget=1.5\n", "bad budget value '1.5'"),
         ("min-window: none\n", "bad min-window value 'none'"),
-        ("max-n: " + "9" * 5000 + "\n", "bad max-n value '" + "9" * 5000 + "'"),
+        ("max-n: " + NINES + "\n", f"bad max-n value: more than {INT_DIGIT_LIMIT} digits"),
+        ("instance: sub45 max-n=" + NINES + "\n", f"bad max-n value: more than {INT_DIGIT_LIMIT} digits"),
+        ("seed: -" + NINES + "\n", f"bad seed value: more than {INT_DIGIT_LIMIT} digits"),
         ("instance: sub45 fixed=3@nim0\n", "fixed position references unknown ruleset 'nim0'"),
     ],
-    ids=["max-n", "instance-max-n", "seed", "budget", "min-window", "over-long", "fixed-nim0"],
+    ids=[
+        "max-n", "instance-max-n", "seed", "budget", "min-window", "over-long", "instance-over-long",
+        "seed-over-long", "fixed-nim0",
+    ],
 )
 def test_scan_spec_errors_name_the_bad_value(text, message):
     with pytest.raises(ValueError) as caught:
@@ -606,6 +614,60 @@ def test_scan_instance_certified_nondivisor_outside_hypothesis_not_flagged():
 def test_scan_instance_points_on_a_zero_digit_leave_the_hypothesis():
     row = scan_instance(ScanInstance(OctalRules("z", (0, 3), (1, 2)), max_n=60))
     assert row.certified and not row.in_hypothesis and not row.counterexample
+
+
+# The three helpers that decided the hypothesis before ``_conjecture_2k``,
+# kept as its reference.
+def ref_respects_take_equals_score(rules):
+    for take, (digit, points) in enumerate(zip(rules.digits, rules.points), start=1):
+        if digit == 0:
+            if points != 0:
+                return False
+        elif digit <= 3:
+            if points != take:
+                return False
+        else:
+            return False
+    return True
+
+
+def ref_largest_remainder_take(rules):
+    best = None
+    for take, digit in enumerate(rules.digits, start=1):
+        if digit not in (0, 1):
+            best = take
+    return best
+
+
+def ref_in_hypothesis(instance):
+    rulesets = (instance.rules,) + instance.extra_rules
+    if any(not ref_respects_take_equals_score(r) for r in rulesets):
+        return False
+    return ref_largest_remainder_take(instance.rules) is not None
+
+
+@st.composite
+def near_hypothesis_rules(draw, name):
+    """Digits 0-7, mostly 0-3; awards that score each take's size, or any
+    awards, fractional ones and nonzero awards on digit-0 takes among them."""
+    digits = draw(st.lists(st.integers(0, 3) | st.integers(0, 7), min_size=1, max_size=6).filter(any))
+    if draw(st.booleans()):
+        points = [take if digit else 0 for take, digit in enumerate(digits, start=1)]
+    else:
+        choices = draw(st.lists(st.none() | awards, min_size=len(digits), max_size=len(digits)))
+        points = [take if award is None else award for take, award in enumerate(choices, start=1)]
+    return OctalRules(name, digits, points)
+
+
+@settings(max_examples=500)
+@given(
+    near_hypothesis_rules("h"),
+    st.integers(0, 2).flatmap(lambda count: st.tuples(*map(near_hypothesis_rules, ["e1", "e2"][:count]))),
+)
+def test_conjecture_2k_matches_the_helpers_it_replaced(rules, extra_rules):
+    instance = ScanInstance(rules, extra_rules)
+    k = ref_largest_remainder_take(rules)
+    assert periods._conjecture_2k(instance) == (None if k is None else 2 * k, ref_in_hypothesis(instance))
 
 
 def test_scan_instance_not_found_row():
