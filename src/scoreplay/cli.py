@@ -303,6 +303,3 @@ def _cmd_oracle(args) -> int:
 
 
 _PARSER = _build_parser()
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,6 +18,7 @@ __all__ = [
 
 import hashlib
 import math
+import operator
 import os
 import re
 import sys
@@ -57,8 +58,8 @@ class OctalRules:
     """Digits and point awards for one heap game.
 
     ``digits[k-1]`` governs removing k beans, ``points[k-1]`` is the award.
-    Digits above 7 would allow splits into three or more heaps and are
-    rejected; 0..7 covers take-and-break into at most two heaps.
+    Digits are integers (``operator.index``, else TypeError) in 0..7, which
+    covers take-and-break into at most two heaps; above 7 is rejected.
     """
 
     name: str
@@ -70,7 +71,7 @@ class OctalRules:
             raise RulesError(
                 f"ruleset name must be nonempty without spaces, commas, '@' or '|': {self.name!r}"
             )
-        digits = tuple(int(d) for d in self.digits)
+        digits = tuple(map(operator.index, self.digits))
         points = tuple(as_score(p) for p in self.points)
         if not digits:
             raise RulesError("digit list must be nonempty")
@@ -111,9 +112,10 @@ def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
     """Remove exactly s beans for s in the set; the mover scores s points.
 
     Named ``sub45`` while every amount is below 10, else ``sub-1-10``.
-    An amount above ``2**20`` is refused: the rules hold one digit per size.
+    Amounts are integers (``operator.index``, else TypeError); one above
+    ``2**20`` is refused: the rules hold one digit per size.
     """
-    taken = {int(a) for a in amounts}
+    taken = set(map(operator.index, amounts))
     cleaned = sorted(taken)
     if not cleaned or cleaned[0] < 1:
         raise RulesError(f"subtraction amounts must be positive integers: {cleaned}")
@@ -128,16 +130,17 @@ def subtraction_rules(amounts: Iterable[int]) -> OctalRules:
 
 
 def standard_nim(max_take: int) -> OctalRules:
-    """Take any number of beans up to ``max_take``, at most ``2**20``, one point per bean."""
+    """Take any number of beans up to ``max_take``, one point per bean.
+
+    The bound is an integer (``operator.index``, else TypeError) from 1 to ``2**20``.
+    """
+    max_take = operator.index(max_take)
     if max_take < 1:
         raise RulesError("max_take must be at least 1")
     if max_take > _MAX_TAKE:
         raise RulesError(f"max_take {max_take} is above the limit {_MAX_TAKE}")
-    return OctalRules(
-        f"nim{max_take}",
-        tuple(3 for _ in range(max_take)),
-        tuple(Fraction(k) for k in range(1, max_take + 1)),
-    )
+    points = tuple(Fraction(k) for k in range(1, max_take + 1))
+    return OctalRules(f"nim{max_take}", (3,) * max_take, points)
 
 
 PRESETS = {r.name: r for r in (
@@ -196,7 +199,7 @@ def rules_from_name(name: str) -> OctalRules | None:
         return PRESETS.get(name)
     nim, run, dashed = match.groups()
     try:  # int() refuses an over-long digit string, and the builders a zero or too large a take
-        rules = standard_nim(int(nim)) if nim else subtraction_rules(run or dashed.split("-")[1:])
+        rules = standard_nim(int(nim)) if nim else subtraction_rules(map(int, run or dashed.split("-")[1:]))
     except ValueError:
         return None
     return rules if rules.name == name else None
@@ -205,15 +208,12 @@ def rules_from_name(name: str) -> OctalRules | None:
 def resolve_rules_ref(ref: str) -> OctalRules:
     """Resolve a rules reference to a ruleset.
 
-    Tries, in order: an existing file path, ``sub:4,5`` / ``nim:9``
-    shorthand, a preset or generated name, an inline document.
+    Tries, in order: ``sub:4,5`` / ``nim:9`` shorthand, a preset or generated
+    name, a file path (``./sub45`` reads a file named sub45), an inline document.
     """
     ref = ref.strip()
     if not ref:
         raise RulesError("empty rules reference")
-    if os.path.isfile(ref):
-        with open(ref, "r", encoding="utf-8") as handle:
-            return parse_rules_document(handle.read())
     if ref.startswith("sub:"):
         try:
             amounts = [int(tok) for tok in _tokens(ref[4:])]
@@ -229,6 +229,9 @@ def resolve_rules_ref(ref: str) -> OctalRules:
     named = rules_from_name(ref)
     if named is not None:
         return named
+    if os.path.isfile(ref):
+        with open(ref, "r", encoding="utf-8") as handle:
+            return parse_rules_document(handle.read())
     if ":" in ref:
         return parse_rules_document(ref)
     raise RulesError(f"cannot resolve rules reference {ref!r}")
@@ -237,10 +240,10 @@ def resolve_rules_ref(ref: str) -> OctalRules:
 class Position(tuple):
     """A multiset of heaps: the sorted tuple of its ``(ruleset id, size)`` pairs.
 
-    Zero-size heaps are dropped, so equal multisets always compare equal.
-    Heaps under different rulesets may share one position.  A position
-    hashes and compares as its heap tuple, and only the constructor
-    canonicalizes.
+    Sizes are integers (``operator.index``, else TypeError); zero-size heaps
+    are dropped, so equal multisets always compare equal.  Heaps under
+    different rulesets may share one position.  A position hashes and
+    compares as its heap tuple, and only the constructor canonicalizes.
     """
 
     __slots__ = ()
@@ -248,7 +251,7 @@ class Position(tuple):
     def __new__(cls, heaps: Iterable[tuple[str, int]] = ()) -> Position:
         cleaned = []
         for ruleset, size in heaps:
-            size = int(size)
+            size = operator.index(size)
             if size < 0:
                 raise ValueError(f"heap size cannot be negative: {size}")
             if size:

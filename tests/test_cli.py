@@ -278,6 +278,18 @@ def test_table_csv_is_exact(run):
     assert out == expected
 
 
+def test_table_of_a_name_ignores_a_file_of_that_name(run, tmp_path, monkeypatch):
+    (tmp_path / "sub45").write_text("name: sub45; digits: 3 3; points: 1 1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run("table", "--rules", "sub45", "--max-n", "15")
+    assert code == 0
+    assert out == "n,value\n" + "\n".join(
+        f"{n},{v}" for n, v in enumerate([0, 0, 0, 0, 4, 5, 5, 5, 5, 1, 0, 0, 0, 3, 4, 5])
+    ) + "\n"
+    code, out, _ = run("table", "--rules", "./sub45", "--max-n", "3")
+    assert (code, out) == (0, "n,value\n0,0\n1,1\n2,1\n3,0\n")
+
+
 def test_table_structured_header(run):
     code, out, _ = run("table", "--rules", "o3333p2", "--max-n", "10", "--format", "structured")
     assert code == 0

@@ -37,7 +37,7 @@ from scoreplay.octal import (
     standard_nim,
     subtraction_rules,
 )
-from scoreplay.periods import _nonempty_subsets
+from scoreplay.periods import _nonempty_subsets, check_lemma
 from support import awards, naive_final_scores, non_splitting_rules, ref_legal_moves, ref_to_game
 
 
@@ -213,6 +213,59 @@ def test_resolve_rules_ref_forms(tmp_path):
         resolve_rules_ref("nonsense")
     with pytest.raises(RulesError):
         resolve_rules_ref("")
+
+
+# rules files named like rulesets, each holding other digits
+DECOYS = {
+    "sub45": "name: decoy; digits: 3 3; points: 1 1",
+    "o26": "name: decoy; digits: 3; points: 1",
+    "nim3": "name: decoy; digits: 0 3; points: 0 2",
+    "sub:4,5": "name: decoy; digits: 1; points: 1",
+}
+
+
+@pytest.mark.parametrize(
+    "ref, rules",
+    [("sub45", SUB45), ("o26", O26), ("nim3", standard_nim(3)), ("sub:4,5", SUB45)],
+)
+def test_a_name_or_shorthand_resolves_before_a_file_of_that_name(tmp_path, monkeypatch, ref, rules):
+    """A name names one ruleset in every directory; a rules file whose path
+    is a name or shorthand is read through a directory part."""
+    for name, text in DECOYS.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    decoy = parse_rules_document(DECOYS[ref])
+    assert resolve_rules_ref(ref) == rules != decoy
+    assert resolve_rules_ref(f"./{ref}") == decoy == resolve_rules_ref(str(tmp_path / ref))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Position([("sub45", 2.5)]),
+        lambda: Position([("sub45", "7")]),
+        lambda: subtraction_rules([4.7, 5]),
+        lambda: subtraction_rules(["4", "5"]),
+        lambda: subtraction_rules([Fraction(9, 2), 5]),
+        lambda: OctalRules("x", (2.9,), (1,)),
+        lambda: standard_nim(2.5),
+        lambda: check_lemma([4.2, 5], 3),  # not the lemma for {4, 5}
+    ],
+    ids=[
+        "float-size", "str-size", "float-amount", "str-amount", "fraction-amount", "float-digit",
+        "float-bound", "float-lemma-amount",
+    ],
+)
+def test_sizes_amounts_digits_and_bounds_are_never_truncated(build):
+    """A size, amount, digit or bound goes through ``operator.index``, so
+    anything but an integer is refused instead of naming another game."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
+
+
+def test_a_bool_bound_is_the_integer_it_stands_for():
+    assert standard_nim(True) == standard_nim(1)
+    assert rules_from_name(standard_nim(True).name) == standard_nim(1)
 
 
 # ---------------------------------------------------------------------------

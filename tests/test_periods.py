@@ -483,6 +483,13 @@ def test_parse_scan_spec_instance_settings():
     assert (inst.max_n, inst.min_window, inst.budget) == (30, 4, None)
 
 
+def test_a_scan_instance_name_is_not_read_as_a_file(tmp_path, monkeypatch):
+    (tmp_path / "sub45").write_text("name: sub45; digits: 3 3; points: 1 1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    (inst,) = parse_scan_spec("instance: sub45\n").instances
+    assert inst.rules == subtraction_rules((4, 5))
+
+
 def test_parse_scan_spec_fixed_base_pulls_extra_rules():
     spec = parse_scan_spec("instance: o3333p2 fixed=9@sub45\n")
     (inst,) = spec.instances
