@@ -27,6 +27,7 @@ from scoreplay.octal import (
     OctalRules,
     Position,
     _normalize_rules,
+    _resolve_var,
     iter_heap_multisets,
     parse_position,
     render_position,
@@ -35,13 +36,11 @@ from scoreplay.octal import (
 from scoreplay.periods import (
     ScanInstance,
     _bool,
-    _check_window,
-    certified_start,
     check_lemma,
-    detect_certified_period,
     parse_scan_spec,
     render_scaled,
     run_scan,
+    scan_instance,
     sequence_digest,
 )
 
@@ -189,56 +188,46 @@ def _cmd_gs(args) -> int:
     return 0
 
 
-def _sweep_values(args) -> tuple[OctalRules, Position, list[int], int]:
-    """The varying heap's ruleset, the base, the swept values times the
-    solver's scale, and that scale."""
+def _cmd_table(args) -> int:
     rules = _load_rules(args.rules)
     base = parse_position(args.fixed, known=rules)
     solver = GrundySolver(rules.values(), budget=args.budget)
     values = solver.sweep(args.max_n, args.var, base)
-    # the sweep has refused a missing or unknown --var
-    return solver.rules[args.var or next(iter(rules))], base, values, solver.scale
-
-
-def _cmd_table(args) -> int:
-    varying, base, values, scale = _sweep_values(args)
-    rendered = render_scaled(values, scale)
+    rendered = render_scaled(values, solver.scale)
     body = "n,value\n" + "\n".join(f"{n},{text}" for n, text in enumerate(rendered))
     if args.format == "structured":
+        varying = _resolve_var(rules, args.var)
         print("format: table")
         print(f"rules: {varying.name}")
         print(f"rules-digest: {varying.digest}")
         print(f"fixed: {render_position(base)}")
         print(f"max-n: {args.max_n}")
-        print(f"values-digest: {sequence_digest(values, scale)}")
+        print(f"values-digest: {sequence_digest(values, solver.scale)}")
         print()
     print(body)
     return 0
 
 
 def _cmd_period(args) -> int:
-    if args.max_n >= 0:  # the sweep refuses a negative max_n
-        _check_window(args.max_n + 1, args.min_window)
-    varying, base, values, scale = _sweep_values(args)
+    rules = _load_rules(args.rules)
+    base = parse_position(args.fixed, known=rules)
+    varying = _resolve_var(rules, args.var)
+    extra = tuple(r for r in rules.values() if r is not varying)
+    row = scan_instance(ScanInstance(varying, extra, base, args.max_n, args.min_window, args.budget))
     if base:
         print("note: fixed base position, certification skipped", file=sys.stderr)
-    report = detect_certified_period(varying, values, args.min_window, base)
-    digest = sequence_digest(values, scale)
-    if report is None:
-        print(f"period=none checked_up_to={args.max_n} values_digest={digest}")
+    checked = f"checked_up_to={row.max_n} values_digest={row.values_digest}"
+    if row.status == "not-found":
+        print(f"period=none {checked}")
         return 0
     cert_from = ""
-    if report.certified:
-        cert_from = f" certified_from={certified_start(varying, report)}"
+    if row.certified:
+        cert_from = f" certified_from={row.certified_from}"
     elif varying.splits_heaps:
         print("note: rules can split heaps, report stays empirical", file=sys.stderr)
     elif not base:
         print("note: no candidate period certifies within this sweep", file=sys.stderr)
-    print(
-        f"preperiod={report.preperiod} period={report.period} "
-        f"certified={_bool(report.certified)}{cert_from} "
-        f"checked_up_to={args.max_n} values_digest={digest}"
-    )
+    print(f"preperiod={row.preperiod} period={row.period} certified={_bool(row.certified)}{cert_from} {checked}")
     return 0
 
 

@@ -505,8 +505,8 @@ class GrundySolver:
         _require_position(base, self.rules)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
-        var = self._resolve_var(var)
-        rules = self.rules[var]
+        rules = _resolve_var(self.rules, var)
+        var = rules.name
         if base or rules.splits_heaps:
             return [self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1)]
         held = len(self._values)
@@ -625,14 +625,16 @@ class GrundySolver:
             )
         return games[root, 0]
 
-    def _resolve_var(self, var: str | None) -> str:
-        if var is None:
-            if len(self.rules) != 1:
-                raise ValueError("several rulesets loaded; specify which heap varies")
-            return next(iter(self.rules))
-        if var not in self.rules:
-            raise UnknownRulesetError(f"unknown ruleset {var!r}")
-        return var
+
+def _resolve_var(rules: Mapping[str, OctalRules], var: str | None) -> OctalRules:
+    """The ruleset named ``var``, or the only one in ``rules`` when ``var`` is None."""
+    if var is None:
+        if len(rules) != 1:
+            raise ValueError("several rulesets loaded; specify which heap varies")
+        var = next(iter(rules))
+    if var not in rules:
+        raise UnknownRulesetError(f"unknown ruleset {var!r}")
+    return rules[var]
 
 
 def _normalize_rules(rules: OctalRules | Iterable[OctalRules]) -> dict[str, OctalRules]:

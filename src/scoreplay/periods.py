@@ -484,25 +484,26 @@ def _conjecture_2k(instance: ScanInstance) -> tuple[int | None, bool]:
 
 
 def scan_instance(instance: ScanInstance) -> ScanRow:
-    """Sweep one instance, detect and (when possible) certify its period."""
+    """Sweep one instance, detect and (when possible) certify its period;
+    a sweep over the instance's budget raises :class:`~scoreplay.octal.BudgetExceededError`."""
     rules = instance.rules
     solver = GrundySolver((rules, *instance.extra_rules), budget=instance.budget)
+    # detection compares values with == only, so the scaled ints serve
+    values = solver.sweep(instance.max_n, rules.name, instance.fixed)
+    report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
+    return _scan_row(instance, report, sequence_digest(values, solver.scale))
+
+
+def _scan_row(instance: ScanInstance, report: PeriodReport | None = None, digest: str = "") -> ScanRow:
+    """The row of a sweep with this values digest; no digest means the sweep exceeded its budget."""
+    rules = instance.rules
     two_k, in_hypothesis = _conjecture_2k(instance)
-    try:
-        # detection compares values with == only, so the scaled ints serve
-        values = solver.sweep(instance.max_n, rules.name, instance.fixed)
-    except BudgetExceededError:
-        status, report, digest = "budget-exceeded", None, ""
-    else:
-        report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
-        status = "not-found" if report is None else "ok"
-        digest = sequence_digest(values, solver.scale)
     certified = report is not None and report.certified
     period = None if report is None else report.period
     divides = None if two_k is None or period is None else two_k % period == 0
     return ScanRow(
         instance=rules.name,
-        status=status,
+        status="budget-exceeded" if not digest else "not-found" if report is None else "ok",
         preperiod=None if report is None else report.preperiod,
         period=period,
         certified=certified,
@@ -520,8 +521,14 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
 def run_scan(spec: ScanSpec) -> ScanReport:
     """Run every instance and assemble rows sorted by instance name.
 
-    Instances are independent; this runs them serially, which is one valid
-    schedule, and sorting makes the report stable either way.
+    An instance over its budget gets a ``budget-exceeded`` row.  Instances
+    are independent; this runs them serially, which is one valid schedule,
+    and sorting makes the report stable either way.
     """
-    rows = tuple(scan_instance(inst) for inst in sorted(spec.instances, key=lambda i: i.rules.name))
-    return ScanReport(spec.digest, spec.seed, rows)
+    rows = []
+    for inst in sorted(spec.instances, key=lambda i: i.rules.name):
+        try:
+            rows.append(scan_instance(inst))
+        except BudgetExceededError:
+            rows.append(_scan_row(inst))
+    return ScanReport(spec.digest, spec.seed, tuple(rows))

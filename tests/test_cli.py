@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from scoreplay import cli, octal, periods
 from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS, FinalScores, format_score
-from scoreplay.octal import GrundySolver, OctalRules, Position, standard_nim
-from scoreplay.periods import ScanInstance
+from scoreplay.octal import BudgetExceededError, GrundySolver, OctalRules, Position, standard_nim
+from scoreplay.periods import ScanInstance, ScanSpec
 from support import INT_DIGIT_LIMIT, non_splitting_rules
 
 
@@ -334,6 +334,51 @@ def test_period_reports_none(run):
     assert out.startswith("period=none")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--rules", "o26", "--fixed", "3@o26", "--max-n", "20"],
+            (
+                0,
+                "preperiod=7 period=1 certified=false checked_up_to=20 values_digest=2d7a9f2e452b3e93\n",
+                "note: fixed base position, certification skipped\n"
+                "note: rules can split heaps, report stays empirical\n",
+            ),
+        ),
+        (
+            ["--rules", "sub45", "--fixed", "3@sub45", "--max-n", "40"],
+            (
+                0,
+                "period=none checked_up_to=40 values_digest=3958a10e8a1250b6\n",
+                "note: fixed base position, certification skipped\n",
+            ),
+        ),
+        (
+            ["--rules", "sub:4,7", "--max-n", "20"],
+            (
+                0,
+                "preperiod=18 period=1 certified=false checked_up_to=20 values_digest=8ae4c98e91102627\n",
+                "note: no candidate period certifies within this sweep\n",
+            ),
+        ),
+        (
+            ["--rules", "sub45", "--max-n", "2000000"],
+            (2, "", "error: position budget exceeded (1000000 positions) evaluating 1000000@sub45\n"),
+        ),
+        (
+            ["--rules", "o26", "--max-n", "200", "--budget", "100"],
+            (2, "", "error: position budget exceeded (100 positions) evaluating 15@o26\n"),
+        ),
+    ],
+    ids=["splitting-fixed-base", "none-fixed-base", "no-candidate-certifies", "budget-table", "budget-memo"],
+)
+def test_period_output_bytes_are_pinned(run, argv, expected):
+    """Notes, report line and budget errors, byte for byte; the single-heap
+    table refuses its sweep before filling it, the memo walk part way."""
+    assert run("period", *argv) == expected
+
+
 SCALED = "name: h; digits: 3 3 0 3; points: 1/2 3/2 0 -5/3"
 SCALED_NEGATIVE = "name: neg; digits: 3 0 2; points: -2/3 0 5/4"
 
@@ -374,11 +419,25 @@ def test_scaled_sweep_output_bytes_are_pinned(run, argv, expected):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--max-n", "40", "--min-window", "0"], "min_window must be at least 1"),
-        (["--max-n", "5", "--min-window", "7"], "sequence of length 6 is shorter than min_window=7"),
+        (
+            ["--max-n", "40", "--min-window", "0"],
+            "scan instance needs max_n >= 0 and 1 <= min_window <= max_n + 1, got max_n=40 min_window=0",
+        ),
+        (
+            ["--max-n", "5", "--min-window", "7"],
+            "scan instance needs max_n >= 0 and 1 <= min_window <= max_n + 1, got max_n=5 min_window=7",
+        ),
+        (
+            ["--max-n", "-1"],
+            "scan instance needs max_n >= 0 and 1 <= min_window <= max_n + 1, got max_n=-1 min_window=3",
+        ),
+        (["--max-n", "5", "--budget", "-1"], "scan instance needs budget >= 0 or none, got budget=-1"),
     ],
+    ids=["min-window-0", "window-longer-than-sweep", "negative-max-n", "negative-budget"],
 )
 def test_period_checks_the_window_before_sweeping(run, monkeypatch, argv, message):
+    """``period`` builds the scan instance first, so its check runs before any sweep."""
+
     def sweep(*args, **kwargs):
         raise AssertionError("swept with a bad window")
 
@@ -405,8 +464,8 @@ def period_sweeps(draw):
 @settings(max_examples=150, deadline=None)
 @given(period_sweeps())
 def test_period_prints_the_line_of_a_one_instance_scan(case):
-    """``period`` and ``scan_instance`` sweep, detect and digest on two paths;
-    the row of the same sweep spells the command's output line."""
+    """``period`` prints the row that ``run_scan`` reports for the same
+    one-instance spec, and a budget row as the sweep's budget error."""
     rules, base, max_n, min_window, budget = case
     document = "name: {}; digits: {}; points: {}".format(
         rules.name, " ".join(map(str, rules.digits)), " ".join(map(format_score, rules.points))
@@ -414,13 +473,15 @@ def test_period_prints_the_line_of_a_one_instance_scan(case):
     argv = ["period", "--rules", document, "--max-n", str(max_n), "--min-window", str(min_window)]
     argv += ["--budget", str(budget)] + ([] if base is None else ["--fixed", f"{base}@{rules.name}"])
     fixed = Position(() if base is None else [(rules.name, base)])
-    row = periods.scan_instance(ScanInstance(rules, (), fixed, max_n, min_window, budget))
+    instance = ScanInstance(rules, (), fixed, max_n, min_window, budget)
+    (row,) = periods.run_scan(ScanSpec(0, (instance,), "")).rows
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     if row.status == "budget-exceeded":
-        assert (code, out.getvalue()) == (2, "")
-        assert err.getvalue().startswith("error: position budget exceeded")
+        with pytest.raises(BudgetExceededError) as exceeded:
+            periods.scan_instance(instance)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {exceeded.value}\n")
         return
     if row.status == "not-found":
         line = "period=none"

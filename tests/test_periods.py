@@ -8,10 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scoreplay import periods
-from scoreplay.octal import GrundySolver, OctalRules, Position, rules_from_name, subtraction_rules
+from scoreplay.octal import (
+    BudgetExceededError,
+    GrundySolver,
+    OctalRules,
+    Position,
+    rules_from_name,
+    subtraction_rules,
+)
 from scoreplay.periods import (
     PeriodReport,
     ScanInstance,
+    ScanSpec,
     certified_start,
     certify_period,
     check_lemma,
@@ -684,10 +692,19 @@ def test_scan_instance_not_found_row():
     assert not row.certified and not row.counterexample
 
 
-def test_scan_instance_budget_exceeded_row():
-    row = scan_instance(ScanInstance(SUB3, max_n=500, budget=5))
-    assert row.status == "budget-exceeded"
-    assert row.values_digest == ""
+def test_scan_instance_raises_over_its_budget():
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(5 positions\) evaluating 5@sub3$"):
+        scan_instance(ScanInstance(SUB3, max_n=500, budget=5))
+
+
+def test_run_scan_reports_a_budget_exceeded_row():
+    """An instance over its budget gets a row, and the scan goes on."""
+    over, within = ScanInstance(SUB3, max_n=500, budget=5), ScanInstance(O3333P2, max_n=60)
+    first, second = run_scan(ScanSpec(0, (within, over), "")).rows
+    assert (first.instance, first.status) == ("o3333p2", "ok")
+    assert (second.instance, second.status, second.values_digest) == ("sub3", "budget-exceeded", "")
+    assert second.preperiod is second.period is second.certified_from is None
+    assert not second.certified and not second.counterexample
 
 
 def test_scan_instance_hashes_each_sweep_once(monkeypatch):
