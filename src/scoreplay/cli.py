@@ -27,6 +27,7 @@ from scoreplay.octal import (
     OctalRules,
     Position,
     _normalize_rules,
+    _parse_int,
     _resolve_var,
     iter_heap_multisets,
     parse_position,
@@ -232,10 +233,8 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    try:
-        amounts = [int(tok) for tok in args.set.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"bad subtraction amounts in --set {args.set!r}") from None
+    shown = f"in --set {args.set!r}"
+    amounts = [_parse_int(tok, "subtraction amounts", shown) for tok in args.set.replace(",", " ").split()]
     report = check_lemma(amounts, args.imax)
     joined = ",".join(map(str, report.subtraction_set))
     print(f"set={{{joined}}} k={report.k} imax={report.i_max}")

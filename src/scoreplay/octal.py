@@ -149,6 +149,20 @@ PRESETS = {r.name: r for r in (
 )}
 
 
+def _parse_int(token: str, what: str, shown: str, error: type[ValueError] = ValueError) -> int:
+    """``int(token)``, else ``error`` with the message ``bad {what} {shown}``.
+
+    A digit string longer than int() converts is not echoed: its message
+    is ``bad {what}: more than N digits``.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        if re.fullmatch(r"[+-]?\d+", token.strip()):
+            raise error(f"bad {what}: more than {sys.get_int_max_str_digits()} digits") from None
+        raise error(f"bad {what} {shown}") from None
+
+
 def _tokens(value: str) -> list[str]:
     stripped = value.strip()
     if stripped.startswith("[") and stripped.endswith("]"):
@@ -160,7 +174,9 @@ def parse_rules_document(text: str) -> OctalRules:
     """Parse a ``name:/digits:/points:`` rules document.
 
     One ruleset per document; ``#`` starts a comment and ``;`` works as a
-    line break so documents can be passed inline.
+    line break so documents can be passed inline.  A name that
+    :func:`rules_from_name` resolves is refused unless the document holds
+    that same ruleset, so a name names one ruleset.
     """
     entries: dict[str, str] = {}
     for raw in text.replace(";", "\n").splitlines():
@@ -186,7 +202,10 @@ def parse_rules_document(text: str) -> OctalRules:
     except ValueError as exc:
         raise RulesError(f"bad digit in rules document: {exc}") from None
     points = tuple(parse_score(tok) for tok in _tokens(entries["points"]))
-    return OctalRules(entries["name"], digits, points)
+    rules = OctalRules(entries["name"], digits, points)
+    if rules_from_name(rules.name) not in (None, rules):
+        raise RulesError(f"rules document claims the name {rules.name!r} of other rules")
+    return rules
 
 
 def rules_from_name(name: str) -> OctalRules | None:
@@ -215,17 +234,12 @@ def resolve_rules_ref(ref: str) -> OctalRules:
     if not ref:
         raise RulesError("empty rules reference")
     if ref.startswith("sub:"):
-        try:
-            amounts = [int(tok) for tok in _tokens(ref[4:])]
-        except ValueError:
-            raise RulesError(f"bad subtraction amounts in {ref!r}") from None
+        amounts = [
+            _parse_int(tok, "subtraction amounts", f"in {ref!r}", RulesError) for tok in _tokens(ref[4:])
+        ]
         return subtraction_rules(amounts)
     if ref.startswith("nim:"):
-        try:
-            max_take = int(ref[4:])
-        except ValueError:
-            raise RulesError(f"bad heap bound in {ref!r}") from None
-        return standard_nim(max_take)
+        return standard_nim(_parse_int(ref[4:], "heap bound", f"in {ref!r}", RulesError))
     named = rules_from_name(ref)
     if named is not None:
         return named
@@ -386,7 +400,8 @@ class GrundySolver:
     position left behind; positions without moves are worth zero.  One memo
     serves every query, so queries share work.  The ``budget`` is
     cumulative per solver, not per query: it caps the memo plus the table
-    a sweep is building.  None means no cap; a negative budget is refused.  A
+    a sweep is building.  None means no cap; otherwise the budget is an
+    integer (``operator.index``, else TypeError), and a negative one is refused.  A
     position with more moves than the budget has room for is refused
     before its moves are built, as every one of them would be held.
     Not thread-safe: give each worker its own solver (values do not depend
@@ -410,10 +425,10 @@ class GrundySolver:
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
-        if budget is not None and budget < 0:
+        self.budget = budget if budget is None else operator.index(budget)
+        if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self.rules = _normalize_rules(rules)
-        self.budget = budget
         self.scale = math.lcm(*(p.denominator for r in self.rules.values() for p in r.points))
         self._awards = {
             name: tuple(p.numerator * self.scale // p.denominator for p in r.points)

@@ -17,8 +17,7 @@ __all__ = [
 ]
 
 import hashlib
-import re
-import sys
+import operator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +29,7 @@ from scoreplay.octal import (
     GrundySolver,
     OctalRules,
     Position,
+    _parse_int,
     parse_position,
     resolve_rules_ref,
     rules_from_name,
@@ -259,6 +259,12 @@ def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
 
 @dataclass(frozen=True)
 class ScanInstance:
+    """One sweep of a scan: a heap of ``rules`` grows beside the base
+    ``fixed``, whose heaps of other rulesets follow ``extra_rules``.
+    ``max_n``, ``min_window`` and a budget other than None are integers
+    (``operator.index``, else TypeError), checked when the instance is
+    built, before anything is swept."""
+
     rules: OctalRules
     extra_rules: tuple[OctalRules, ...] = ()
     fixed: Position = Position()
@@ -267,6 +273,10 @@ class ScanInstance:
     budget: int | None = 1_000_000
 
     def __post_init__(self) -> None:
+        for name in ("max_n", "min_window", "budget"):
+            value = getattr(self, name)
+            if value is not None:  # only the budget may be None
+                object.__setattr__(self, name, operator.index(value))
         if self.max_n < 0 or not 1 <= self.min_window <= self.max_n + 1:
             raise ValueError(
                 "scan instance needs max_n >= 0 and 1 <= min_window <= max_n + 1, "
@@ -399,14 +409,7 @@ def _parse_setting(key: str, value: str) -> int | None:
     """A ``seed``, ``max-n``, ``min-window`` or ``budget`` value; ``budget`` also takes ``none``."""
     if key == "budget" and value.lower() == "none":
         return None
-    try:
-        return int(value)
-    except ValueError:
-        if re.fullmatch(r"[+-]?\d+", value):  # more digits than int() converts
-            raise ValueError(
-                f"bad {key} value: more than {sys.get_int_max_str_digits()} digits"
-            ) from None
-        raise ValueError(f"bad {key} value {value!r}") from None
+    return _parse_int(value, f"{key} value", repr(value))
 
 
 _MAX_GROUND = 16  # a family of 2**16 - 1 subsets
@@ -417,10 +420,9 @@ def _parse_ground_set(value: str) -> list[int]:
     ground: set[int] = set()
     for token in value.replace(",", " ").split():
         lo, dash, hi = token.partition("-")
-        try:
-            span = range(int(lo), int(hi if dash else lo) + 1)
-        except ValueError:
-            raise ValueError(f"bad ground set element {token!r}") from None
+        first = _parse_int(lo, "ground set element", repr(token))
+        last = _parse_int(hi, "ground set element", repr(token)) if dash else first
+        span = range(first, last + 1)
         ground.update(span[: _MAX_GROUND + 1])  # a longer span is refused below anyway
     if len(ground) > _MAX_GROUND:
         raise ValueError(f"ground set has more than {_MAX_GROUND} elements")

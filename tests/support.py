@@ -18,6 +18,7 @@ from scoreplay.octal import MoveOutcome, OctalRules, Position, UnknownRulesetErr
 
 # int() refuses a decimal string longer than this many digits; 0 means no limit.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+NINES = "9" * 5000  # more digits than int() converts
 
 
 def naive_final_scores(game: Game, memo: dict | None = None) -> tuple[Fraction, Fraction]:

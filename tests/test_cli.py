@@ -20,7 +20,7 @@ from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS, FinalScores, format_score
 from scoreplay.octal import BudgetExceededError, GrundySolver, OctalRules, Position, standard_nim
 from scoreplay.periods import ScanInstance, ScanSpec
-from support import INT_DIGIT_LIMIT, non_splitting_rules
+from support import INT_DIGIT_LIMIT, NINES, non_splitting_rules
 
 
 @pytest.fixture
@@ -245,9 +245,21 @@ def test_heap_size_with_too_many_digits_names_its_term(run, argv, term):
         (["nim:x"], "bad heap bound in 'nim:x'"),
         (["nim:0"], "max_take must be at least 1"),
         (["nim0"], "cannot resolve rules reference 'nim0'"),
-        (["sub45", "name: sub45; digits: 3; points: 1"], "conflicting rulesets named 'sub45'"),
+        (
+            ["name: x; digits: 3; points: 1", "name: x; digits: 3 3; points: 1 1"],
+            "conflicting rulesets named 'x'",
+        ),
+        (
+            ["sub45", "name: sub45; digits: 3; points: 1"],
+            "rules document claims the name 'sub45' of other rules",
+        ),
+        (["sub:4," + NINES], f"bad subtraction amounts: more than {INT_DIGIT_LIMIT} digits"),
+        (["nim:" + NINES], f"bad heap bound: more than {INT_DIGIT_LIMIT} digits"),
     ],
-    ids=["sub-token", "nim-token", "nim-zero", "nim-zero-name", "conflict"],
+    ids=[
+        "sub-token", "nim-token", "nim-zero", "nim-zero-name", "conflict", "claimed-name", "sub-nines",
+        "nim-nines",
+    ],
 )
 def test_gs_refuses_bad_rules_references(run, rules, message):
     argv = [arg for ref in rules for arg in ("--rules", ref)]
@@ -279,7 +291,7 @@ def test_table_csv_is_exact(run):
 
 
 def test_table_of_a_name_ignores_a_file_of_that_name(run, tmp_path, monkeypatch):
-    (tmp_path / "sub45").write_text("name: sub45; digits: 3 3; points: 1 1\n", encoding="utf-8")
+    (tmp_path / "sub45").write_text("name: decoy; digits: 3 3; points: 1 1\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, out, _ = run("table", "--rules", "sub45", "--max-n", "15")
     assert code == 0
@@ -576,6 +588,12 @@ def test_lemma_refuses_a_bad_amount(run):
     code, out, err = run("lemma", "--set", "4,x")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: bad subtraction amounts in --set '4,x'"]
+
+
+def test_lemma_names_the_digit_limit_of_an_over_long_amount(run):
+    assert run("lemma", "--set", "4," + NINES) == (
+        2, "", f"error: bad subtraction amounts: more than {INT_DIGIT_LIMIT} digits\n"
+    )
 
 
 FRACTIONAL = "name: frac; digits: 1 7 6; points: 1/2 -2/3 3/4"

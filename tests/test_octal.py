@@ -37,7 +37,7 @@ from scoreplay.octal import (
     standard_nim,
     subtraction_rules,
 )
-from scoreplay.periods import _nonempty_subsets, check_lemma
+from scoreplay.periods import ScanInstance, _nonempty_subsets, check_lemma
 from support import awards, naive_final_scores, non_splitting_rules, ref_legal_moves, ref_to_game
 
 
@@ -121,6 +121,23 @@ def test_parse_rules_document_inline_semicolons():
     assert parse_rules_document("name: o26; digits: 2 6; points: 1 2") == OctalRules(
         "o26", (2, 6), (1, 2)
     )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "name: sub45; digits: 3 3; points: 1 1",
+        "name: sub45; digits: 0 0 0 3 3; points: 0 0 0 4 6",
+        "name: o26; digits: 2 7; points: 1 2",
+        "name: nim3; digits: 3 3 3; points: 1 1 1",
+    ],
+    ids=["other-digits", "other-points", "preset", "nim"],
+)
+def test_a_rules_document_may_not_claim_another_rulesets_name(doc):
+    """A name that ``rules_from_name`` resolves names that ruleset only."""
+    name = doc.split(";")[0].removeprefix("name: ")
+    with pytest.raises(RulesError, match=f"^rules document claims the name '{name}' of other rules$"):
+        parse_rules_document(doc)
 
 
 @pytest.mark.parametrize(
@@ -250,15 +267,22 @@ def test_a_name_or_shorthand_resolves_before_a_file_of_that_name(tmp_path, monke
         lambda: OctalRules("x", (2.9,), (1,)),
         lambda: standard_nim(2.5),
         lambda: check_lemma([4.2, 5], 3),  # not the lemma for {4, 5}
+        lambda: GrundySolver(SUB45, budget=7.5),
+        lambda: ScanInstance(SUB45, max_n=500.0),
+        lambda: ScanInstance(SUB45, min_window=2.5),
+        lambda: ScanInstance(SUB45, budget=7.5),
+        lambda: ScanInstance(SUB45, budget="7"),
     ],
     ids=[
         "float-size", "str-size", "float-amount", "str-amount", "fraction-amount", "float-digit",
-        "float-bound", "float-lemma-amount",
+        "float-bound", "float-lemma-amount", "float-solver-budget", "float-scan-max-n",
+        "float-scan-min-window", "float-scan-budget", "str-scan-budget",
     ],
 )
 def test_sizes_amounts_digits_and_bounds_are_never_truncated(build):
-    """A size, amount, digit or bound goes through ``operator.index``, so
-    anything but an integer is refused instead of naming another game."""
+    """A size, amount, digit, bound or solver or scan setting goes through
+    ``operator.index``, so anything but an integer is refused, before any
+    sweep, instead of naming another game or budget."""
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         build()
 

@@ -32,7 +32,7 @@ from scoreplay.periods import (
     sequence_digest,
     verify_period,
 )
-from support import INT_DIGIT_LIMIT, awards, non_splitting_rules
+from support import INT_DIGIT_LIMIT, NINES, awards, non_splitting_rules
 
 
 def frac(values):
@@ -527,9 +527,6 @@ def test_parse_scan_spec_errors(text, fragment):
         parse_scan_spec(text)
 
 
-NINES = "9" * 5000  # more digits than int() converts
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -541,11 +538,13 @@ NINES = "9" * 5000  # more digits than int() converts
         ("max-n: " + NINES + "\n", f"bad max-n value: more than {INT_DIGIT_LIMIT} digits"),
         ("instance: sub45 max-n=" + NINES + "\n", f"bad max-n value: more than {INT_DIGIT_LIMIT} digits"),
         ("seed: -" + NINES + "\n", f"bad seed value: more than {INT_DIGIT_LIMIT} digits"),
+        ("subtraction-family: " + NINES + "\n", f"bad ground set element: more than {INT_DIGIT_LIMIT} digits"),
+        ("subtraction-family: 1-" + NINES + "\n", f"bad ground set element: more than {INT_DIGIT_LIMIT} digits"),
         ("instance: sub45 fixed=3@nim0\n", "fixed position references unknown ruleset 'nim0'"),
     ],
     ids=[
         "max-n", "instance-max-n", "seed", "budget", "min-window", "over-long", "instance-over-long",
-        "seed-over-long", "fixed-nim0",
+        "seed-over-long", "ground-over-long", "ground-range-over-long", "fixed-nim0",
     ],
 )
 def test_scan_spec_errors_name_the_bad_value(text, message):
