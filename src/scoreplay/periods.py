@@ -18,7 +18,7 @@ __all__ = [
 
 import hashlib
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -77,49 +77,45 @@ def _check_window(count: int, min_window: int) -> None:
         raise ValueError(f"sequence of length {count} is shorter than min_window={min_window}")
 
 
-def _period_candidates(values: Sequence[Score | int], min_window: int):
-    """Qualifying (preperiod, period) reports in ascending period order.
+def _period_candidates(values: Sequence[Score | int], longest: int):
+    """(preperiod, period) for each period 1 .. ``longest``, in ascending order.
 
-    For each period the preperiod is minimal; a candidate qualifies when
-    the tail from the preperiod holds at least ``min_window`` complete
-    copies of the period block.  The preperiod scan runs down from the end
-    and stops at the first mismatch, so it has compared every pair that
-    :func:`verify_period` would.  Values are only compared with ``==``.
+    Each preperiod is the least one from which the period holds to the end
+    of ``values``.  The scan runs down from the end and stops at the first
+    mismatch, so it has compared every pair that :func:`verify_period`
+    would.  Values are only compared with ``==``.
     """
-    count = len(values)
-    _check_window(count, min_window)
-    last = count - 1
-    for period in range(1, count // min_window + 1):
+    last = len(values) - 1
+    for period in range(1, longest + 1):
         preperiod = 0
         for n in range(last - period, -1, -1):
             if values[n + period] != values[n]:
                 preperiod = n + 1
                 break
-        if count - preperiod < min_window * period:
-            continue
-        yield PeriodReport(preperiod, period)
+        yield preperiod, period
 
 
 def detect_period(values: Sequence[Score | int], min_window: int = 3) -> PeriodReport | None:
     """Smallest period, then smallest preperiod, visible in ``values``.
 
-    Purely empirical: a short run at the very end of the sequence can
-    qualify (three trailing equal values admit period 1), so callers after
-    an eventual period should prefer :func:`detect_certified_period`.
-    Returns None when nothing qualifies.  ``values`` may be exact scores
-    or a solver's scaled ints; the report is the same.
+    A period qualifies when the tail from its preperiod holds at least
+    ``min_window`` copies of its block.  Purely empirical: a short run at
+    the end can qualify (three trailing equal values admit period 1), so
+    callers after an eventual period prefer :func:`detect_certified_period`.
+    Returns None when nothing qualifies.  ``values`` may be exact scores or
+    a solver's scaled ints; the report is the same.
     """
-    return next(_period_candidates(values, min_window), None)
+    count = len(values)
+    _check_window(count, min_window)
+    for preperiod, period in _period_candidates(values, count // min_window):
+        if count - preperiod >= min_window * period:
+            return PeriodReport(preperiod, period)
+    return None
 
 
 def certified_start(rules: OctalRules, report: PeriodReport) -> int:
     """First index the finite-lookback argument is applied from."""
     return max(report.preperiod, len(rules.digits) + 1)
-
-
-def _window_end(rules: OctalRules, report: PeriodReport) -> int:
-    """Values :func:`certify_period` reads for ``report``: indices up to one below this."""
-    return certified_start(rules, report) + 2 * report.period + len(rules.digits)
 
 
 def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Score | int]) -> bool:
@@ -141,20 +137,21 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
     n > f and n + p > f, and each n - j for j = 1..f lies in s .. n - 1, so
     v[n + p] = F(v[n+p-1], ..., v[n+p-f]) = F(v[n-1], ..., v[n-f]) = v[n].
     By induction v[n + p] = v[n] for every n >= s.  The induction needs
-    only the first f checked indices; the other p make the window cover a
-    whole period block past them.  A sequence that matches for p + f - 1
-    indices and then differs does not certify.
+    only f matches from any s >= 1, as n >= s + f > f; that certificate,
+    the first max(preperiod, 1) + p + f values, is what
+    :func:`detect_certified_period` checks.  This longer window stays as
+    the independent check of a claimed report.  A sequence that matches
+    for p + f - 1 indices and then differs does not certify.
 
     Splitting rules always return False (the report stays empirical): a
     split leaves two heaps, and the recurrence no longer looks back at
     single heaps alone.  The values must come from a sweep of these rules
-    alone from an empty base; :func:`detect_certified_period` enforces
-    that precondition.  Raises ValueError when ``values`` ends before the
-    window does.
+    alone from an empty base.  Raises ValueError when ``values`` ends
+    before the window does.
     """
     if rules.splits_heaps:
         return False
-    needed = _window_end(rules, report)
+    needed = certified_start(rules, report) + 2 * report.period + len(rules.digits)
     if len(values) < needed:
         raise ValueError(
             f"certification window needs values through n={needed - 1}, "
@@ -171,23 +168,26 @@ def detect_certified_period(
 ) -> PeriodReport | None:
     """Detection that prefers a provable period over a shorter empirical one.
 
-    Returns the first qualifying candidate, in ascending period order,
-    whose :func:`certify_period` window fits in ``values``, certified: the
-    candidate scan compared every pair from its preperiod to the end, so
-    the window holds.  A spurious short period, such as a constant run at
-    the end, has its window run past the end.  When no window fits, the
-    :func:`detect_period` answer is returned unmarked, or None; so it is
-    for a nonempty ``base`` or splitting rules, as the proof needs neither.
-    ``values`` are as for :func:`detect_period`.
+    With f the digit count, returns certified the first period p, in
+    ascending order, whose least preperiod P has max(P, 1) + p + f <=
+    len(values): the f values from max(P, 1) equal those p places later,
+    so the induction in :func:`certify_period`'s docstring carries the
+    period on forever.  That p is the tail's least period and P its least
+    preperiod; a spurious short period, such as a constant run at the end,
+    has too few values past it.  Otherwise the :func:`detect_period`
+    answer is returned unmarked, or None; so it is for a nonempty ``base``
+    or splitting rules, as the proof needs neither.  ``min_window`` gates
+    only that empirical answer.  ``values`` are as for :func:`detect_period`.
     """
     if base or rules.splits_heaps:
         return detect_period(values, min_window)
-    first: PeriodReport | None = None
-    for candidate in _period_candidates(values, min_window):
-        if _window_end(rules, candidate) <= len(values):
-            return replace(candidate, certified=certify_period(rules, candidate, values))
-        first = first or candidate
-    return first
+    count = len(values)
+    _check_window(count, min_window)
+    lookback = len(rules.digits)
+    for preperiod, period in _period_candidates(values, count - lookback):
+        if max(preperiod, 1) + period + lookback <= count:
+            return PeriodReport(preperiod, period, certified=True)
+    return detect_period(values, min_window)
 
 
 # ---------------------------------------------------------------------------

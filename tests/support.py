@@ -105,6 +105,18 @@ def ref_to_game(position, rules) -> Game:
     return expand(position, Fraction(0))
 
 
+def first_repeated_window(values, span, start):
+    """Smallest n >= start with ``values[n - span:n] == values[m - span:m]``
+    for some m in start..n - 1, or None."""
+    seen = set()
+    for n in range(start, len(values) + 1):
+        window = tuple(values[n - span : n])
+        if window in seen:
+            return n
+        seen.add(window)
+    return None
+
+
 def greedy_nim_value(heaps) -> Fraction:
     """Alternating sum of the heap sizes in descending order.
 

@@ -341,7 +341,7 @@ def test_period_notes_a_sweep_too_short_to_certify(run):
 
 
 def test_period_reports_none(run):
-    code, out, _ = run("period", "--rules", "sub:3", "--max-n", "10")
+    code, out, _ = run("period", "--rules", "sub:3", "--max-n", "4")
     assert code == 0
     assert out.startswith("period=none")
 

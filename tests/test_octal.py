@@ -38,7 +38,14 @@ from scoreplay.octal import (
     subtraction_rules,
 )
 from scoreplay.periods import ScanInstance, _nonempty_subsets, check_lemma
-from support import awards, naive_final_scores, non_splitting_rules, ref_legal_moves, ref_to_game
+from support import (
+    awards,
+    first_repeated_window,
+    naive_final_scores,
+    non_splitting_rules,
+    ref_legal_moves,
+    ref_to_game,
+)
 
 
 SUB45 = subtraction_rules((4, 5))
@@ -736,18 +743,6 @@ def assert_sweep_is_the_recurrence(rules, max_n):
     solver = GrundySolver(rules)
     assert solver.scale == math.lcm(*(p.denominator for p in rules.points))
     assert solver.sweep(max_n) == recurrence(rules, max_n)
-
-
-def first_repeated_window(values, span, start):
-    """Smallest n >= start with ``values[n - span:n] == values[m - span:m]``
-    for some m in start..n - 1, or None."""
-    seen = set()
-    for n in range(start, len(values) + 1):
-        window = tuple(values[n - span : n])
-        if window in seen:
-            return n
-        seen.add(window)
-    return None
 
 
 @pytest.mark.parametrize(

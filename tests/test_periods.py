@@ -1,6 +1,5 @@
 """Period detection and certification, the alternation identity, scans."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,7 +31,7 @@ from scoreplay.periods import (
     sequence_digest,
     verify_period,
 )
-from support import INT_DIGIT_LIMIT, NINES, awards, non_splitting_rules
+from support import INT_DIGIT_LIMIT, NINES, awards, first_repeated_window, non_splitting_rules
 
 
 def frac(values):
@@ -236,15 +235,28 @@ def test_certified_search_skips_spurious_trailing_run():
 
 
 def test_certified_search_falls_back_when_data_runs_short():
-    values = sweep(SUB3, 17)
+    """Swept to 8, sub3's period 6 needs one more value to certify."""
+    values = sweep(SUB3, 8)
     plain = detect_period(values)
     best = detect_certified_period(SUB3, values)
-    assert (best.preperiod, best.period) == (plain.preperiod, plain.period) == (15, 1)
+    assert (best.preperiod, best.period) == (plain.preperiod, plain.period) == (6, 1)
     assert not best.certified
+    assert detect_certified_period(SUB3, sweep(SUB3, 9)) == PeriodReport(0, 6, certified=True)
 
 
 def test_certified_search_none_when_no_candidate():
-    assert detect_certified_period(SUB3, sweep(SUB3, 10)) is None
+    assert sweep(SUB3, 4) == [0, 0, 0, 3, 3]
+    assert detect_certified_period(SUB3, sweep(SUB3, 4)) is None
+
+
+def test_certified_search_validates_min_window_it_does_not_apply():
+    """sub3 to 9 certifies with ten values, fewer than two copies of its
+    period past the preperiod; min_window is checked all the same."""
+    values = sweep(SUB3, 9)
+    assert detect_certified_period(SUB3, values, min_window=10) == PeriodReport(0, 6, certified=True)
+    for min_window in (0, 11):
+        with pytest.raises(ValueError):
+            detect_certified_period(SUB3, values, min_window)
 
 
 def test_certified_search_keeps_splitting_rules_empirical():
@@ -288,6 +300,12 @@ def window_end(rules, report):
     return certified_start(rules, report) + 2 * report.period + len(rules.digits)
 
 
+def certificate_end(rules, report):
+    """Values the certified search needs for ``report``: f matches from
+    max(preperiod, 1) and the f values one period later."""
+    return max(report.preperiod, 1) + report.period + len(rules.digits)
+
+
 # a head of arbitrary ints, then a block repeated to a length of up to 120
 eventually_periodic = st.builds(
     lambda head, block, length: (head + block * length)[: len(head) + length],
@@ -302,12 +320,17 @@ any_rules = st.lists(st.tuples(st.integers(0, 7), awards), min_size=1, max_size=
 
 
 @settings(max_examples=200, deadline=None)
-@given(non_splitting_rules, eventually_periodic, st.integers(1, 4))
-def test_every_candidate_whose_window_fits_certifies(rules, values, min_window):
-    """The candidate scan compares every pair from a candidate's preperiod
-    to the end, so a window that fits holds nothing it has not compared."""
-    assume(len(values) >= min_window)
-    for candidate in periods._period_candidates(values, min_window):
+@given(non_splitting_rules, eventually_periodic)
+def test_every_candidate_whose_window_fits_certifies(rules, values):
+    """Each candidate's preperiod is the least, and the candidate scan
+    compares every pair from it to the end, so a window that fits holds
+    nothing it has not compared."""
+    candidates = list(periods._period_candidates(values, len(values)))
+    assert [period for _, period in candidates] == list(range(1, len(values) + 1))
+    for preperiod, period in candidates:
+        assert verify_period(values, preperiod, period)
+        assert preperiod == 0 or not verify_period(values, preperiod - 1, period)
+        candidate = PeriodReport(preperiod, period)
         if window_end(rules, candidate) <= len(values):
             assert certify_period(rules, candidate, values) is True
         else:
@@ -316,21 +339,38 @@ def test_every_candidate_whose_window_fits_certifies(rules, values, min_window):
 
 
 def certify_each_candidate(rules, values, min_window=3, base=Position()):
-    """The search as a loop over the candidates that certifies each one and
-    skips it when certify_period refuses its window: the reference."""
+    """The search by its definition, the reference: the first period whose
+    f values from max(P, 1), with P its least preperiod found by brute
+    force, recur one period later inside ``values``, certified; else the
+    detect_period answer."""
     if base or rules.splits_heaps:
         return detect_period(values, min_window)
-    first = None
-    for candidate in periods._period_candidates(values, min_window):
-        if first is None:
-            first = candidate
-        try:
-            proven = certify_period(rules, candidate, values)
-        except ValueError:
-            continue
-        if proven:
-            return replace(candidate, certified=True)
-    return first
+    lookback = len(rules.digits)
+    for period in range(1, len(values)):
+        preperiod = next(n for n in range(len(values)) if verify_period(values, n, period))
+        start = max(preperiod, 1)
+        later = values[start + period : start + period + lookback]
+        if len(later) == lookback and values[start : start + lookback] == later:
+            return PeriodReport(preperiod, period, certified=True)
+    return detect_period(values, min_window)
+
+
+def first_repeat_report(rules, values, min_window=3, base=Position()):
+    """The reference for a sweep: the report its first repeated window of f
+    values past index 0 proves, with the preperiod walked down from that
+    window; the detect_period answer when no window repeats, the base is
+    nonempty or the rules split heaps."""
+    lookback = len(rules.digits)
+    end = None if base or rules.splits_heaps else first_repeated_window(values, lookback, lookback + 1)
+    if end is None:
+        return detect_period(values, min_window)
+    window = values[end - lookback : end]
+    earlier = next(m for m in range(lookback + 1, end) if values[m - lookback : m] == window)
+    period = end - earlier
+    preperiod = earlier - lookback
+    while preperiod and values[preperiod - 1] == values[preperiod - 1 + period]:
+        preperiod -= 1
+    return PeriodReport(preperiod, period, certified=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,15 +395,15 @@ def test_certified_search_matches_certifying_each_candidate(rules, values, min_w
     ids=["sub3", "sub45", "o3333p2", "lookback-past-take", "base", "splitting"],
 )
 def test_certified_search_matches_certifying_each_candidate_on_sweeps(rules, base, max_n):
-    """Every prefix of a sweep, so short sweeps whose windows do not fit
-    yet are among them."""
+    """Every prefix of a sweep, so short sweeps that cannot certify yet are
+    among them; on a sweep both references agree."""
     values = GrundySolver(rules).sweep(max_n, base=base)
     for length in range(1, len(values) + 1):
         head = values[:length]
         for min_window in range(1, min(length, 4) + 1):
-            assert detect_certified_period(rules, head, min_window, base) == (
-                certify_each_candidate(rules, head, min_window, base)
-            ), (length, min_window)
+            found = detect_certified_period(rules, head, min_window, base)
+            assert found == certify_each_candidate(rules, head, min_window, base), (length, min_window)
+            assert found == first_repeat_report(rules, head, min_window, base), (length, min_window)
 
 
 @pytest.mark.parametrize(
@@ -372,29 +412,118 @@ def test_certified_search_matches_certifying_each_candidate_on_sweeps(rules, bas
     ids=lambda r: r.name if r.name != "h" else "lookback-past-take",
 )
 def test_a_period_certifies_exactly_when_the_sweep_reaches_its_window_end(rules):
+    """The certificate's window ends at max(P, 1) + p + f: every shorter
+    prefix of the sweep gets the empirical answer, and every prefix from
+    there on the report of its first repeated window."""
     values = GrundySolver(rules).sweep(200)
     proven = detect_certified_period(rules, values)
     assert proven.certified
-    end = window_end(rules, proven)
-    short = detect_certified_period(rules, values[: end - 1])
-    assert short == replace(proven, certified=False)  # the same first candidate, one value short
-    assert detect_certified_period(rules, values[:end]) == proven
+    end = certificate_end(rules, proven)
+    for length in range(1, len(values) + 1):
+        head = values[:length]
+        found = detect_certified_period(rules, head, 1)
+        assert found == (proven if length >= end else detect_period(head, 1)), length
+        assert found == first_repeat_report(rules, head, 1), length
+
+
+def test_the_longest_certificate_of_the_1_to_16_family_needs_a_sweep_to_481():
+    """sub-15-16: P = 434, p = 32 and f = 16, so 482 values."""
+    rules = subtraction_rules((15, 16))
+    values = sweep(rules, 481)
+    assert detect_certified_period(rules, values) == PeriodReport(434, 32, certified=True)
+    assert detect_certified_period(rules, values[:-1]) is None
 
 
 @pytest.mark.parametrize("amounts, preperiod, period", [((3,), 0, 6), ((4, 7), 11, 14)])
-def test_a_certified_search_calls_certify_period_once(monkeypatch, amounts, preperiod, period):
+def test_a_certified_search_past_a_trailing_run_passes_certify_period(amounts, preperiod, period):
     """Swept to 500, these sets end in a run that detects period 1 first,
-    whose window runs past the sweep: the search skips it without a check
-    and certifies the real period with one."""
-    calls = []
-    certify = periods.certify_period
-    monkeypatch.setattr(periods, "certify_period", lambda *args: calls.append(args[1]) or certify(*args))
+    too short to certify: the search skips it, and its report holds under
+    certify_period's longer window over the sweep."""
     rules = subtraction_rules(amounts)
     values = sweep(rules, 500)
     assert detect_period(values).period == 1
     report = detect_certified_period(rules, values)
     assert (report.preperiod, report.period, report.certified) == (preperiod, period, True)
-    assert calls == [PeriodReport(preperiod, period)]
+    assert certify_period(rules, report, values) is True
+
+
+# Hand-built sequences, not sweeps: a head of fresh values, then a block of
+# distinct values repeated, so no period but the block's can qualify.
+def periodic_from(start, period, length):
+    return [-1 - n if n < start else 10 + (n - start) % period for n in range(length)]
+
+
+@pytest.mark.parametrize("rules", [SUB3, O3333P2, rules_from_name("sub45")], ids=lambda r: r.name)
+@pytest.mark.parametrize("period", [1, 2, 5, 7])
+def test_f_matches_from_index_0_alone_do_not_certify(rules, period):
+    """v(f) is not the recurrence of the f values before it (a take may
+    empty the heap), so the f matches must start at index 1 or later."""
+    lookback = len(rules.digits)
+    values = periodic_from(0, period, period + lookback)
+    assert verify_period(values, 0, period)
+    assert not detect_certified_period(rules, values, 1).certified
+    longer = periodic_from(0, period, period + lookback + 1)
+    assert detect_certified_period(rules, longer, 1) == PeriodReport(0, period, certified=True)
+
+
+@pytest.mark.parametrize("rules", [SUB3, O3333P2, rules_from_name("sub45")], ids=lambda r: r.name)
+@pytest.mark.parametrize("start, period", [(1, 1), (1, 3), (4, 2), (9, 5)])
+def test_f_minus_1_matches_do_not_certify(rules, start, period):
+    lookback = len(rules.digits)
+    values = periodic_from(start, period, start + period + lookback - 1)
+    assert verify_period(values, start, period)
+    assert not detect_certified_period(rules, values, 1).certified
+    longer = periodic_from(start, period, start + period + lookback)
+    assert detect_certified_period(rules, longer, 1) == PeriodReport(start, period, certified=True)
+
+
+@pytest.mark.parametrize("rules", [SUB3, O3333P2, rules_from_name("sub45")], ids=lambda r: r.name)
+@pytest.mark.parametrize("start, period", [(1, 1), (1, 3), (4, 2), (9, 5)])
+def test_a_divergence_after_p_plus_f_minus_1_matches_does_not_certify(rules, start, period):
+    """The block matches one period later for p + f - 1 indices from
+    ``start``, then one entry differs, and the block goes on repeating
+    with that entry changed.  No prefix that holds the difference
+    certifies the period from before it; it certifies from just past it
+    once f more matches are in."""
+    lookback = len(rules.digits)
+    changed = start + 2 * period + lookback - 1  # its partner changed - period is the (p + f)th index
+    values = periodic_from(start, period, changed + 3 * period + 2 * lookback)
+    for n in range(changed, len(values), period):
+        values[n] = 99
+    after = PeriodReport(changed - period + 1, period, certified=True)
+    for length in range(changed + 1, len(values) + 1):
+        found = detect_certified_period(rules, values[:length], 1)
+        assert found.certified == (length >= certificate_end(rules, after)), length
+        assert not found.certified or found == after, length
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_splitting_rules, st.lists(st.integers(0, 250), min_size=1, max_size=12), st.integers(1, 4))
+def test_certified_reports_hold_under_certify_period_and_keep_the_window_search(rules, lengths, min_window):
+    """At many sweep lengths, every certified report passes certify_period
+    over a sweep long enough for its window; and wherever the search by
+    certify_period's longer window certifies a report, this search gives
+    the same one."""
+    solver = GrundySolver(rules)
+    for max_n in lengths:
+        values = solver.sweep(max_n)
+        if len(values) < min_window:
+            continue
+        report = detect_certified_period(rules, values, min_window)
+        if report is not None and report.certified:
+            assert certify_period(rules, report, solver.sweep(window_end(rules, report))) is True
+        windowed = next(
+            (
+                PeriodReport(preperiod, period, certified=True)
+                for preperiod, period in periods._period_candidates(values, len(values) // min_window)
+                if len(values) - preperiod >= min_window * period
+                and window_end(rules, PeriodReport(preperiod, period)) <= len(values)
+            ),
+            None,
+        )
+        if windowed is not None:
+            assert report == windowed
+            assert certify_period(rules, windowed, values) is True
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +754,16 @@ def test_scan_instance_certified_nondivisor_outside_hypothesis_not_flagged():
     assert not row.counterexample
 
 
+@pytest.mark.parametrize("certified", [False, True])
+def test_scan_row_flags_only_a_certified_nondivisor_in_the_hypothesis(certified):
+    """A hand-built report: sub3 lies in the hypothesis with 2k = 6, and
+    period 4 does not divide it.  Only a proven period is a counterexample."""
+    row = periods._scan_row(ScanInstance(SUB3), PeriodReport(0, 4, certified), "d")
+    assert (row.status, row.conjectured_2k, row.divides_2k, row.in_hypothesis) == ("ok", 6, False, True)
+    assert row.certified is row.counterexample is certified
+    assert row.certified_from == (4 if certified else None)
+
+
 def test_scan_instance_points_on_a_zero_digit_leave_the_hypothesis():
     row = scan_instance(ScanInstance(OctalRules("z", (0, 3), (1, 2)), max_n=60))
     assert row.certified and not row.in_hypothesis and not row.counterexample
@@ -685,7 +824,7 @@ def test_conjecture_2k_matches_the_helpers_it_replaced(rules, extra_rules):
 
 
 def test_scan_instance_not_found_row():
-    row = scan_instance(ScanInstance(SUB3, max_n=10))
+    row = scan_instance(ScanInstance(SUB3, max_n=4))
     assert row.status == "not-found"
     assert row.preperiod is None and row.period is None
     assert not row.certified and not row.counterexample
@@ -714,7 +853,7 @@ def test_scan_instance_hashes_each_sweep_once(monkeypatch):
         return sequence_digest(values, scale)
 
     monkeypatch.setattr(periods, "sequence_digest", counting_digest)
-    for max_n, status in [(60, "ok"), (10, "not-found")]:
+    for max_n, status in [(60, "ok"), (4, "not-found")]:
         hashed.clear()
         row = scan_instance(ScanInstance(SUB3, max_n=max_n))
         assert row.status == status
@@ -761,7 +900,7 @@ instance: sub45
 instance: o3333p2 min-window=2
 instance: sub14 fixed=5@sub14,2@sub45
 instance: o26 max-n=40
-instance: sub:3 max-n=10
+instance: sub:3 max-n=4
 instance: sub12 budget=5
 """
 
@@ -771,14 +910,14 @@ o26,ok,12,2,false,,4,true,false,false,40,41824981d42aecd5,5d68aaa65077
 o3333p2,ok,0,5,true,5,8,false,false,false,60,389769b12a1972ca,675442638214
 sub12,budget-exceeded,,,false,,4,,true,false,60,,d9900c21e37f
 sub14,ok,0,8,false,,8,true,true,false,60,fd9f6eacb5333255,492fe40433e0
-sub3,not-found,,,false,,6,,true,false,10,bf78e549d85aaeb6,0aff4e971f01
+sub3,not-found,,,false,,6,,true,false,4,2efd832992dab7af,0aff4e971f01
 sub45,ok,27,10,true,27,10,true,true,false,60,28944eddfa7a7560,8b88373f9c34
 """
 
 
 PINNED_DETAIL = """\
 scan-report
-spec-digest: 08a1e77e5af7a615
+spec-digest: 75b8d5c4b9579275
 seed: 4
 instances: 6
 
@@ -840,7 +979,7 @@ rules-digest: 492fe40433e0
 
 instance: sub3
 status: not-found
-max-n: 10
+max-n: 4
 preperiod: -
 period: -
 certified: false
@@ -849,7 +988,7 @@ conjectured-2k: 6
 divides-2k: -
 in-hypothesis: true
 counterexample: false
-values-digest: bf78e549d85aaeb6
+values-digest: 2efd832992dab7af
 rules-digest: 0aff4e971f01
 
 instance: sub45
