@@ -435,6 +435,8 @@ class GrundySolver:
             for name, r in self.rules.items()
         }
         self._values: dict[Position, int] = {}
+        # (preperiod, period) that the last sweep of each ruleset proved by its repeat
+        self._heap_periods: dict[str, tuple[int, int]] = {}
         # to_game's expansion: each position's class, each class interned as
         # its shape, and one node per class and running score
         self._class_of: dict[Position, frozenset] = {}
@@ -511,23 +513,40 @@ class GrundySolver:
         of scaled ints.  Once the last f entries, f the digit count, equal
         an earlier such window, the rest of the table repeats the entries
         between the two windows, by the induction in
-        :func:`scoreplay.periods.certify_period`.  The table is the result
-        and is not kept; while it is built it counts against the budget
-        with the memo, so a table that cannot fit is refused before any
-        entry is computed.  Every other sweep evaluates each entry as
-        :meth:`value` does.  The values are the same either way.
+        :func:`scoreplay.periods.certify_period`.  That repeat is also the
+        certificate of the heaps' eventual period, which :meth:`heap_period`
+        then returns; a scan row takes it instead of searching the values
+        again.  The table is the result and is not kept; while it is built
+        it counts against the budget with the memo, so a table that cannot
+        fit is refused before any entry is computed.  Every other sweep
+        evaluates each entry as :meth:`value` does.  The values are the
+        same either way.
         """
         _require_position(base, self.rules)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         rules = _resolve_var(self.rules, var)
         var = rules.name
+        self._heap_periods.pop(var, None)
         if base or rules.splits_heaps:
             return [self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1)]
         held = len(self._values)
         if self.budget is not None and held + max_n + 1 > self.budget:
             raise self._budget_error(Position(((var, max(self.budget - held, 0)),)))
         return self._single_heap_table(rules, max_n)
+
+    def heap_period(self, var: str | None = None) -> tuple[int, int] | None:
+        """``(preperiod, period)`` that the last :meth:`sweep` of ``var`` proved, or None.
+
+        Only a sweep from an empty base whose table was filled from a
+        repeated window proves one; any other sweep of ``var``, one refused
+        over the budget included, leaves None.  The period is the distance
+        of the repeat and the preperiod the least from which it holds to
+        the end of the table, so the pair is the report that
+        :func:`scoreplay.periods.detect_certified_period` certifies over
+        that sweep's values.  ``var`` is resolved as :meth:`sweep` resolves it.
+        """
+        return self._heap_periods.get(_resolve_var(self.rules, var).name)
 
     def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
         """Scaled values of single heaps 0..max_n, filled from a repeat as :meth:`sweep` says.
@@ -537,6 +556,18 @@ class GrundySolver:
         distances: by a rolling hash, then exactly.  On the first exact
         match the table repeats the entries since the anchor.  Checking a
         window costs O(1) whatever f is, and the search holds two hashes.
+
+        That match is the row's certificate, recorded for :meth:`heap_period`.
+        Past f every window is a fixed function of the one before, so
+        windows run into a cycle, and an anchor that meets itself again
+        lies on it: the distance λ is the cycle length, which is the least
+        eventual period of the values.  The anchor window starts at
+        s = anchor - f >= 1 and matches the window λ later, so by the
+        induction in :func:`scoreplay.periods.certify_period` the period
+        holds from s on; walking s down while v[s-1] = v[s-1+λ] gives the
+        least preperiod.  :func:`scoreplay.periods.detect_certified_period`
+        finds the same pair from the values, and stays as the fallback of a
+        sweep without a repeat and as the oracle the tests check this against.
         """
         table: list[int] = []
         digits = rules.digits
@@ -571,10 +602,15 @@ class GrundySolver:
                 window = (window * base + value - old * shift_out) % modulus
                 table.append(value)
                 if window == anchor_window and table[anchor - lookback : anchor] == table[-lookback:]:
-                    period = table[anchor:]
-                    whole, part = divmod(max_n + 1 - len(table), len(period))
-                    table += period * whole
-                    table += period[:part]
+                    period = len(table) - anchor
+                    start = anchor - lookback
+                    while start and table[start - 1] == table[start - 1 + period]:
+                        start -= 1
+                    self._heap_periods[rules.name] = (start, period)
+                    block = table[anchor:]
+                    whole, part = divmod(max_n + 1 - len(table), period)
+                    table += block * whole
+                    table += block[:part]
                     return table
             stride *= 2
         return table

@@ -51,9 +51,10 @@ def render_scaled(values: Sequence[Score | int], scale: int = 1) -> list[str]:
     """``format_score`` of each ``x / scale``, rendering each distinct ``x`` once.
 
     A sweep holds few distinct values, and ints hash far faster than
-    Fractions, so the scaled ints make the cheapest keys.
+    Fractions, so the scaled ints make the cheapest keys.  A whole value
+    needs no Fraction.
     """
-    text = {x: format_score(Fraction(x, scale)) for x in set(values)}
+    text = {x: format_score(x // scale if x % scale == 0 else Fraction(x, scale)) for x in set(values)}
     return list(map(text.__getitem__, values))
 
 
@@ -137,11 +138,14 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
     n > f and n + p > f, and each n - j for j = 1..f lies in s .. n - 1, so
     v[n + p] = F(v[n+p-1], ..., v[n+p-f]) = F(v[n-1], ..., v[n-f]) = v[n].
     By induction v[n + p] = v[n] for every n >= s.  The induction needs
-    only f matches from any s >= 1, as n >= s + f > f; that certificate,
-    the first max(preperiod, 1) + p + f values, is what
-    :func:`detect_certified_period` checks.  This longer window stays as
-    the independent check of a claimed report.  A sequence that matches
-    for p + f - 1 indices and then differs does not certify.
+    only f matches from any s >= 1, as n >= s + f > f.  A scan row's
+    certificate is the single-heap sweep's first repeated window of f
+    values (:meth:`~scoreplay.octal.GrundySolver.heap_period`); when the
+    sweep found none, :func:`detect_certified_period` checks the first
+    max(preperiod, 1) + p + f values, and it is also the oracle the tests
+    hold the sweep's certificate to.  This longer window stays as the
+    independent check of a claimed report.  A sequence that matches for
+    p + f - 1 indices and then differs does not certify.
 
     Splitting rules always return False (the report stays empirical): a
     split leaves two heaps, and the recurrence no longer looks back at
@@ -177,17 +181,21 @@ def detect_certified_period(
     has too few values past it.  Otherwise the :func:`detect_period`
     answer is returned unmarked, or None; so it is for a nonempty ``base``
     or splitting rules, as the proof needs neither.  ``min_window`` gates
-    only that empirical answer.  ``values`` are as for :func:`detect_period`.
+    only that empirical answer, kept from the same walk of the periods.
+    ``values`` are as for :func:`detect_period`.
     """
     if base or rules.splits_heaps:
         return detect_period(values, min_window)
     count = len(values)
     _check_window(count, min_window)
     lookback = len(rules.digits)
-    for preperiod, period in _period_candidates(values, count - lookback):
+    empirical = None
+    for preperiod, period in _period_candidates(values, max(count - lookback, count // min_window)):
         if max(preperiod, 1) + period + lookback <= count:
             return PeriodReport(preperiod, period, certified=True)
-    return detect_period(values, min_window)
+        if empirical is None and count - preperiod >= min_window * period:
+            empirical = PeriodReport(preperiod, period)
+    return empirical
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +495,21 @@ def _conjecture_2k(instance: ScanInstance) -> tuple[int | None, bool]:
 
 def scan_instance(instance: ScanInstance) -> ScanRow:
     """Sweep one instance, detect and (when possible) certify its period;
-    a sweep over the instance's budget raises :class:`~scoreplay.octal.BudgetExceededError`."""
+    a sweep over the instance's budget raises :class:`~scoreplay.octal.BudgetExceededError`.
+
+    With an empty base, the period the sweep proved by its repeated window
+    is the report, certified; otherwise, or when the sweep found no
+    repeat, :func:`detect_certified_period` searches the values.
+    """
     rules = instance.rules
     solver = GrundySolver((rules, *instance.extra_rules), budget=instance.budget)
     # detection compares values with == only, so the scaled ints serve
     values = solver.sweep(instance.max_n, rules.name, instance.fixed)
-    report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
+    proved = None if instance.fixed else solver.heap_period(rules.name)
+    if proved is not None:
+        report = PeriodReport(*proved, certified=True)
+    else:
+        report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
     return _scan_row(instance, report, sequence_digest(values, solver.scale))
 
 

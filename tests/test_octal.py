@@ -37,7 +37,15 @@ from scoreplay.octal import (
     standard_nim,
     subtraction_rules,
 )
-from scoreplay.periods import ScanInstance, _nonempty_subsets, check_lemma
+from scoreplay.periods import (
+    PeriodReport,
+    ScanInstance,
+    _nonempty_subsets,
+    certified_start,
+    certify_period,
+    check_lemma,
+    detect_certified_period,
+)
 from support import (
     awards,
     first_repeated_window,
@@ -849,6 +857,80 @@ def test_fill_matches_the_recurrence_on_random_rules(rules, max_n, modulus):
     past the fill; modulo 1 every window hashes alike."""
     with mock.patch.object(octal, "_WINDOW_HASH_MODULUS", modulus):
         assert_sweep_is_the_recurrence(rules, max_n)
+
+
+# ---------------------------------------------------------------------------
+# The fill's repeat as the certificate of the heaps' period
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_splitting_rules, st.integers(0, 600), st.sampled_from([octal._WINDOW_HASH_MODULUS, 1]))
+def test_a_sweeps_repeat_is_the_certified_report_of_its_values(rules, max_n, modulus):
+    """Whenever the fill found its repeat, the pair it proves is the report
+    the certified search finds over the same values, certify_period's
+    longer window holds it, and a longer sweep proves the same pair."""
+    solver = GrundySolver(rules)
+    with mock.patch.object(octal, "_WINDOW_HASH_MODULUS", modulus):
+        values = solver.sweep(max_n)
+        proved = solver.heap_period("h")
+        if proved is None:
+            return
+        report = detect_certified_period(rules, values)
+        assert report == PeriodReport(*proved, certified=True)
+        longer = GrundySolver(rules)
+        needed = certified_start(rules, report) + 2 * report.period + len(rules.digits)
+        assert certify_period(rules, report, longer.sweep(max(max_n, needed)))
+        assert longer.heap_period() == proved
+
+
+@pytest.mark.parametrize(
+    "rules, proved",
+    [(subtraction_rules((1,)), (0, 2)), (subtraction_rules((3,)), (0, 6)), (SUB45, (27, 10))],
+    ids=lambda x: x.name if isinstance(x, OctalRules) else str(x),
+)
+def test_a_sweeps_repeat_proves_the_least_preperiod(rules, proved):
+    """The walk down from the repeated window reaches the least preperiod,
+    0 included: sub1 alternates 0, 1 from the empty heap on."""
+    solver = GrundySolver(rules)
+    values = solver.sweep(200)
+    assert solver.heap_period(rules.name) == proved
+    assert detect_certified_period(rules, values) == PeriodReport(*proved, certified=True)
+
+
+@pytest.mark.parametrize(
+    "rules, sweep",
+    [
+        (O26, lambda s: s.sweep(20)),
+        (SUB45, lambda s: s.sweep(60, base=heap(4))),
+        (OctalRules("h", (1, 0, 1), (2, 0, -1)), lambda s: s.sweep(1000)),
+    ]
+    + [(SUB45, lambda s, n=n: s.sweep(n)) for n in range(6)],
+    ids=["splitting", "fixed-base", "no-heap-left"] + [f"max-n-{n}" for n in range(6)],
+)
+def test_a_sweep_without_a_repeat_proves_no_period(rules, sweep):
+    """Split heaps and a base leave the recurrence; with no move that
+    leaves a heap, or no entry past the digit count, no window is searched."""
+    solver = GrundySolver(rules)
+    sweep(solver)
+    assert solver.heap_period(rules.name) is None
+
+
+def test_only_the_last_sweep_of_a_ruleset_counts():
+    """A refused sweep, or one from a base, clears what an earlier sweep
+    proved; sweeping another ruleset does not."""
+    solver = GrundySolver([SUB45, O26], budget=200)
+    solver.sweep(60, "sub45")
+    assert solver.heap_period("sub45") == (27, 10)
+    solver.sweep(12, "o26")
+    assert solver.heap_period("sub45") == (27, 10)
+    with pytest.raises(BudgetExceededError):
+        solver.sweep(200, "sub45")
+    assert solver.heap_period("sub45") is None
+    solver.sweep(60, "sub45")
+    solver.sweep(20, "sub45", base=heap(4))
+    assert solver.heap_period("sub45") is None
+    with pytest.raises(ValueError, match="specify which heap varies"):
+        solver.heap_period()
 
 
 # ---------------------------------------------------------------------------

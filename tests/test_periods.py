@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scoreplay import periods
+from scoreplay.games import RenderSizeError, format_score
 from scoreplay.octal import (
     BudgetExceededError,
     GrundySolver,
@@ -61,6 +62,15 @@ def test_sequence_digest_of_scaled_ints_matches_their_values():
     assert render_scaled(values) == render_scaled(scaled, 6)
     assert sequence_digest(scaled, 6) == sequence_digest(values)
     assert sequence_digest(scaled) != sequence_digest(values)
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="str() converts any number of digits")
+@pytest.mark.parametrize("scale", [1, 3])
+def test_render_scaled_names_the_digit_limit_for_a_whole_value(scale):
+    """A whole value skips the Fraction but not the limit's typed error."""
+    assert render_scaled([-6, 3, 0], scale) == [format_score(Fraction(x, scale)) for x in (-6, 3, 0)]
+    with pytest.raises(RenderSizeError, match=f"more than {INT_DIGIT_LIMIT} digits"):
+        render_scaled([10**INT_DIGIT_LIMIT * scale], scale)
 
 
 def test_verify_period_checks_every_index():
@@ -861,12 +871,34 @@ def test_scan_instance_hashes_each_sweep_once(monkeypatch):
         assert hashed == [max_n + 1]
 
 
-def test_scan_instance_fixed_base_stays_empirical():
-    row = scan_instance(
-        ScanInstance(rules_from_name("sub45"), fixed=Position((("sub45", 4),)), max_n=60)
-    )
+def test_scan_instance_fixed_base_stays_empirical(monkeypatch):
+    """The sweep's repeat proves the period of single heaps alone, so a row
+    with a base never takes it, whatever the solver reports."""
+    instance = ScanInstance(rules_from_name("sub45"), fixed=Position((("sub45", 4),)), max_n=60)
+    row = scan_instance(instance)
     assert row.status == "ok"
     assert not row.certified and row.certified_from is None
+    monkeypatch.setattr(GrundySolver, "heap_period", lambda solver, var=None: (27, 10))
+    assert scan_instance(instance) == row
+
+
+@pytest.mark.parametrize("max_n, searched", [(20, 113), (60, 6), (500, 0)])
+def test_family_rows_are_the_same_through_the_fallback(monkeypatch, max_n, searched):
+    """Rows from the sweeps' repeats equal the rows the certified search
+    gives when no sweep reports one; ``searched`` rows found no repeat."""
+    spec = parse_scan_spec(f"max-n: {max_n}\nsubtraction-family: 1-7\n")
+    calls = []
+
+    def counting_search(*args):
+        calls.append(args)
+        return detect_certified_period(*args)
+
+    monkeypatch.setattr(periods, "detect_certified_period", counting_search)
+    proved = run_scan(spec)
+    assert len(calls) == searched
+    monkeypatch.setattr(GrundySolver, "heap_period", lambda solver, var=None: None)
+    assert run_scan(spec) == proved
+    assert len(calls) == searched + 127
 
 
 def test_run_scan_sorts_rows_and_renders_reports():
