@@ -13,7 +13,7 @@ __all__ = [
     "RulesError", "UnknownRulesetError", "BudgetExceededError", "ExpansionLimitError",
     "OctalRules", "subtraction_rules", "standard_nim", "PRESETS", "parse_rules_document",
     "rules_from_name", "resolve_rules_ref", "Position", "parse_position", "render_position",
-    "MoveOutcome", "legal_moves", "GrundySolver", "iter_heap_multisets",
+    "MoveOutcome", "legal_moves", "SweepTable", "GrundySolver", "iter_heap_multisets",
 ]
 
 import hashlib
@@ -392,6 +392,16 @@ def legal_moves(position: Position, rules: OctalRules | Iterable[OctalRules]) ->
     return [MoveOutcome(*move) for move in _next_moves(position, rules, points)]
 
 
+class SweepTable(list):
+    """A sweep's scaled values, as a list; ``proved`` is the ``(preperiod, period)``
+    that the single-heap fill's repeated window proved, or None.
+
+    It compares equal to the plain list of its values.
+    """
+
+    proved: tuple[int, int] | None = None
+
+
 class GrundySolver:
     """Memoized evaluator for the first player's optimal score differential.
 
@@ -435,8 +445,6 @@ class GrundySolver:
             for name, r in self.rules.items()
         }
         self._values: dict[Position, int] = {}
-        # (preperiod, period) that the last sweep of each ruleset proved by its repeat
-        self._heap_periods: dict[str, tuple[int, int]] = {}
         # to_game's expansion: each position's class, each class interned as
         # its shape, and one node per class and running score
         self._class_of: dict[Position, frozenset] = {}
@@ -500,7 +508,7 @@ class GrundySolver:
         for pos in _post_order(root, done, next_positions):
             yield pos, pending.pop(pos)
 
-    def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> list[int]:
+    def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> SweepTable:
         """Values of ``base`` plus one growing heap, for sizes 0..max_n, each times ``scale``.
 
         Entry n is an int, the value times :attr:`scale`, so
@@ -514,41 +522,28 @@ class GrundySolver:
         an earlier such window, the rest of the table repeats the entries
         between the two windows, by the induction in
         :func:`scoreplay.periods.certify_period`.  That repeat is also the
-        certificate of the heaps' eventual period, which :meth:`heap_period`
-        then returns; a scan row takes it instead of searching the values
-        again.  The table is the result and is not kept; while it is built
-        it counts against the budget with the memo, so a table that cannot
-        fit is refused before any entry is computed.  Every other sweep
-        evaluates each entry as :meth:`value` does.  The values are the
-        same either way.
+        certificate of the heaps' eventual period: the returned table's
+        ``proved`` is its ``(preperiod, period)``, which a scan row takes
+        instead of searching the values again.  The table is the result
+        and is not kept; while it is built it counts against the budget
+        with the memo, so a table that cannot fit is refused before any
+        entry is computed.  Every other sweep evaluates each entry as
+        :meth:`value` does, and its ``proved`` is None.  The values are
+        the same either way.
         """
         _require_position(base, self.rules)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         rules = _resolve_var(self.rules, var)
         var = rules.name
-        self._heap_periods.pop(var, None)
         if base or rules.splits_heaps:
-            return [self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1)]
+            return SweepTable(self._scaled_value(base.add_heap(var, n)) for n in range(max_n + 1))
         held = len(self._values)
         if self.budget is not None and held + max_n + 1 > self.budget:
             raise self._budget_error(Position(((var, max(self.budget - held, 0)),)))
         return self._single_heap_table(rules, max_n)
 
-    def heap_period(self, var: str | None = None) -> tuple[int, int] | None:
-        """``(preperiod, period)`` that the last :meth:`sweep` of ``var`` proved, or None.
-
-        Only a sweep from an empty base whose table was filled from a
-        repeated window proves one; any other sweep of ``var``, one refused
-        over the budget included, leaves None.  The period is the distance
-        of the repeat and the preperiod the least from which it holds to
-        the end of the table, so the pair is the report that
-        :func:`scoreplay.periods.detect_certified_period` certifies over
-        that sweep's values.  ``var`` is resolved as :meth:`sweep` resolves it.
-        """
-        return self._heap_periods.get(_resolve_var(self.rules, var).name)
-
-    def _single_heap_table(self, rules: OctalRules, max_n: int) -> list[int]:
+    def _single_heap_table(self, rules: OctalRules, max_n: int) -> SweepTable:
         """Scaled values of single heaps 0..max_n, filled from a repeat as :meth:`sweep` says.
 
         Past the digit count f, Brent's cycle search compares the window of
@@ -557,7 +552,8 @@ class GrundySolver:
         match the table repeats the entries since the anchor.  Checking a
         window costs O(1) whatever f is, and the search holds two hashes.
 
-        That match is the row's certificate, recorded for :meth:`heap_period`.
+        That match is the row's certificate, the table's ``proved`` pair;
+        it stays None when no window repeats by ``max_n``.
         Past f every window is a fixed function of the one before, so
         windows run into a cycle, and an anchor that meets itself again
         lies on it: the distance λ is the cycle length, which is the least
@@ -569,7 +565,7 @@ class GrundySolver:
         finds the same pair from the values, and stays as the fallback of a
         sweep without a repeat and as the oracle the tests check this against.
         """
-        table: list[int] = []
+        table = SweepTable()
         digits = rules.digits
         awards = self._awards[rules.name]
         keeps = [(take, awards[take - 1]) for take, d in enumerate(digits, start=1) if d & 2]
@@ -606,7 +602,7 @@ class GrundySolver:
                     start = anchor - lookback
                     while start and table[start - 1] == table[start - 1 + period]:
                         start -= 1
-                    self._heap_periods[rules.name] = (start, period)
+                    table.proved = (start, period)
                     block = table[anchor:]
                     whole, part = divmod(max_n + 1 - len(table), period)
                     table += block * whole

@@ -140,8 +140,9 @@ def certify_period(rules: OctalRules, report: PeriodReport, values: Sequence[Sco
     By induction v[n + p] = v[n] for every n >= s.  The induction needs
     only f matches from any s >= 1, as n >= s + f > f.  A scan row's
     certificate is the single-heap sweep's first repeated window of f
-    values (:meth:`~scoreplay.octal.GrundySolver.heap_period`); when the
-    sweep found none, :func:`detect_certified_period` checks the first
+    values (the ``proved`` pair of the
+    :class:`~scoreplay.octal.SweepTable` it returns); when the sweep
+    found none, :func:`detect_certified_period` checks the first
     max(preperiod, 1) + p + f values, and it is also the oracle the tests
     hold the sweep's certificate to.  This longer window stays as the
     independent check of a claimed report.  A sequence that matches for
@@ -497,17 +498,17 @@ def scan_instance(instance: ScanInstance) -> ScanRow:
     """Sweep one instance, detect and (when possible) certify its period;
     a sweep over the instance's budget raises :class:`~scoreplay.octal.BudgetExceededError`.
 
-    With an empty base, the period the sweep proved by its repeated window
-    is the report, certified; otherwise, or when the sweep found no
-    repeat, :func:`detect_certified_period` searches the values.
+    The period the sweep's table proved by its repeated window
+    (``values.proved``, only ever set from an empty base) is the report,
+    certified; when it proved none, :func:`detect_certified_period`
+    searches the values.
     """
     rules = instance.rules
     solver = GrundySolver((rules, *instance.extra_rules), budget=instance.budget)
     # detection compares values with == only, so the scaled ints serve
     values = solver.sweep(instance.max_n, rules.name, instance.fixed)
-    proved = None if instance.fixed else solver.heap_period(rules.name)
-    if proved is not None:
-        report = PeriodReport(*proved, certified=True)
+    if values.proved is not None:
+        report = PeriodReport(*values.proved, certified=True)
     else:
         report = detect_certified_period(rules, values, instance.min_window, instance.fixed)
     return _scan_row(instance, report, sequence_digest(values, solver.scale))

@@ -26,6 +26,7 @@ from scoreplay.octal import (
     OctalRules,
     Position,
     RulesError,
+    SweepTable,
     UnknownRulesetError,
     iter_heap_multisets,
     legal_moves,
@@ -869,18 +870,16 @@ def test_a_sweeps_repeat_is_the_certified_report_of_its_values(rules, max_n, mod
     """Whenever the fill found its repeat, the pair it proves is the report
     the certified search finds over the same values, certify_period's
     longer window holds it, and a longer sweep proves the same pair."""
-    solver = GrundySolver(rules)
     with mock.patch.object(octal, "_WINDOW_HASH_MODULUS", modulus):
-        values = solver.sweep(max_n)
-        proved = solver.heap_period("h")
-        if proved is None:
+        values = GrundySolver(rules).sweep(max_n)
+        if values.proved is None:
             return
         report = detect_certified_period(rules, values)
-        assert report == PeriodReport(*proved, certified=True)
-        longer = GrundySolver(rules)
+        assert report == PeriodReport(*values.proved, certified=True)
         needed = certified_start(rules, report) + 2 * report.period + len(rules.digits)
-        assert certify_period(rules, report, longer.sweep(max(max_n, needed)))
-        assert longer.heap_period() == proved
+        longer = GrundySolver(rules).sweep(max(max_n, needed))
+        assert certify_period(rules, report, longer)
+        assert longer.proved == values.proved
 
 
 @pytest.mark.parametrize(
@@ -891,9 +890,8 @@ def test_a_sweeps_repeat_is_the_certified_report_of_its_values(rules, max_n, mod
 def test_a_sweeps_repeat_proves_the_least_preperiod(rules, proved):
     """The walk down from the repeated window reaches the least preperiod,
     0 included: sub1 alternates 0, 1 from the empty heap on."""
-    solver = GrundySolver(rules)
-    values = solver.sweep(200)
-    assert solver.heap_period(rules.name) == proved
+    values = GrundySolver(rules).sweep(200)
+    assert values.proved == proved
     assert detect_certified_period(rules, values) == PeriodReport(*proved, certified=True)
 
 
@@ -910,27 +908,28 @@ def test_a_sweeps_repeat_proves_the_least_preperiod(rules, proved):
 def test_a_sweep_without_a_repeat_proves_no_period(rules, sweep):
     """Split heaps and a base leave the recurrence; with no move that
     leaves a heap, or no entry past the digit count, no window is searched."""
-    solver = GrundySolver(rules)
-    sweep(solver)
-    assert solver.heap_period(rules.name) is None
+    assert sweep(GrundySolver(rules)).proved is None
 
 
-def test_only_the_last_sweep_of_a_ruleset_counts():
-    """A refused sweep, or one from a base, clears what an earlier sweep
-    proved; sweeping another ruleset does not."""
-    solver = GrundySolver([SUB45, O26], budget=200)
-    solver.sweep(60, "sub45")
-    assert solver.heap_period("sub45") == (27, 10)
-    solver.sweep(12, "o26")
-    assert solver.heap_period("sub45") == (27, 10)
-    with pytest.raises(BudgetExceededError):
-        solver.sweep(200, "sub45")
-    assert solver.heap_period("sub45") is None
-    solver.sweep(60, "sub45")
-    solver.sweep(20, "sub45", base=heap(4))
-    assert solver.heap_period("sub45") is None
-    with pytest.raises(ValueError, match="specify which heap varies"):
-        solver.heap_period()
+@pytest.mark.parametrize(
+    "rules, sweep, proved",
+    [
+        (SUB45, lambda s: s.sweep(60), (27, 10)),
+        (SUB45, lambda s: s.sweep(3), None),
+        (OctalRules("h", (1, 0, 1), (2, 0, -1)), lambda s: s.sweep(10), None),
+        (subtraction_rules((99, 100)), lambda s: s.sweep(1000), None),
+        (SUB45, lambda s: s.sweep(20, base=heap(4)), None),
+        (O26, lambda s: s.sweep(12), None),
+    ],
+    ids=["fill-repeat", "no-fill", "no-heap-left", "no-repeat-yet", "fixed-base", "splitting"],
+)
+def test_every_sweep_returns_a_table_equal_to_its_values(rules, sweep, proved):
+    """The fill and the memo walk both return a SweepTable, a list equal to
+    the plain list of its values; only the fill's repeat sets ``proved``."""
+    values = sweep(GrundySolver(rules))
+    assert type(values) is SweepTable
+    assert values == list(values) and list(values) == values
+    assert values.proved == proved
 
 
 # ---------------------------------------------------------------------------

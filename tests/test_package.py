@@ -27,7 +27,7 @@ PACKAGE_NAMES = {
     "rules_from_name", "run_scan", "scan_instance", "sequence_digest", "standard_nim",
     "subtraction_rules", "translate", "verify_period",
 }
-ADDED_NAMES = {"RenderSizeError", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_scaled"}
+ADDED_NAMES = {"RenderSizeError", "MAX_RENDER_CHARS", "MAX_TREE_CHARS", "render_scaled", "SweepTable"}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -13,6 +13,7 @@ from scoreplay.octal import (
     GrundySolver,
     OctalRules,
     Position,
+    SweepTable,
     rules_from_name,
     subtraction_rules,
 )
@@ -871,15 +872,16 @@ def test_scan_instance_hashes_each_sweep_once(monkeypatch):
         assert hashed == [max_n + 1]
 
 
-def test_scan_instance_fixed_base_stays_empirical(monkeypatch):
-    """The sweep's repeat proves the period of single heaps alone, so a row
-    with a base never takes it, whatever the solver reports."""
+def test_scan_instance_fixed_base_stays_empirical():
+    """The sweep's repeat proves the period of single heaps alone, and a
+    sweep from a base never runs the fill, so its table proves nothing."""
     instance = ScanInstance(rules_from_name("sub45"), fixed=Position((("sub45", 4),)), max_n=60)
     row = scan_instance(instance)
     assert row.status == "ok"
     assert not row.certified and row.certified_from is None
-    monkeypatch.setattr(GrundySolver, "heap_period", lambda solver, var=None: (27, 10))
-    assert scan_instance(instance) == row
+    solver = GrundySolver(instance.rules)
+    assert solver.sweep(instance.max_n, base=instance.fixed).proved is None
+    assert solver.sweep(instance.max_n).proved == (27, 10)
 
 
 @pytest.mark.parametrize("max_n, searched", [(20, 113), (60, 6), (500, 0)])
@@ -896,7 +898,8 @@ def test_family_rows_are_the_same_through_the_fallback(monkeypatch, max_n, searc
     monkeypatch.setattr(periods, "detect_certified_period", counting_search)
     proved = run_scan(spec)
     assert len(calls) == searched
-    monkeypatch.setattr(GrundySolver, "heap_period", lambda solver, var=None: None)
+    sweep = GrundySolver.sweep
+    monkeypatch.setattr(GrundySolver, "sweep", lambda solver, *args: SweepTable(sweep(solver, *args)))
     assert run_scan(spec) == proved
     assert len(calls) == searched + 127
 
