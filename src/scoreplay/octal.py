@@ -513,7 +513,8 @@ class GrundySolver:
 
         Entry n is an int, the value times :attr:`scale`, so
         ``Fraction(entry, solver.scale)`` is the exact value; equal values
-        are equal ints.  Entry 0 is the value of the base alone.
+        are equal ints.  Entry 0 is the value of the base alone.  ``max_n``
+        is an integer (``operator.index``, else TypeError).
 
         With an empty base and a ruleset that never splits a heap, every
         position reached is a single heap of that ruleset, so the sweep runs
@@ -532,6 +533,7 @@ class GrundySolver:
         the same either way.
         """
         _require_position(base, self.rules)
+        max_n = operator.index(max_n)
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         rules = _resolve_var(self.rules, var)
@@ -622,8 +624,8 @@ class GrundySolver:
 
         Left's awards add to the running score and Right's subtract, so the
         final scores of the expansion match the evaluator's value and its
-        negation.  ``max_total`` bounds the beans in play; the budget does
-        not apply here.
+        negation.  ``max_total`` bounds the beans in play and is an integer
+        (``operator.index``, else TypeError); the budget does not apply here.
 
         Nodes are keyed by a position's class and the running score.  A
         class is a position's shape, interned: the set of ``(award, class
@@ -643,7 +645,7 @@ class GrundySolver:
           class.
         """
         _require_position(position, self.rules)
-        if position.total > max_total:
+        if position.total > operator.index(max_total):
             raise ExpansionLimitError(
                 f"position has {position.total} beans, expansion bound is {max_total}"
             )
@@ -704,8 +706,10 @@ def iter_heap_multisets(max_total: int) -> Iterator[tuple[int, ...]]:
     """Every multiset of positive heap sizes with total at most ``max_total``.
 
     Yields weakly decreasing tuples, the empty one first; deterministic
-    order.  A negative ``max_total`` is refused before anything is yielded.
+    order.  ``max_total`` is an integer (``operator.index``, else
+    TypeError), and a negative one is refused before anything is yielded.
     """
+    max_total = operator.index(max_total)
     if max_total < 0:
         raise ValueError("max_total must be nonnegative")
 

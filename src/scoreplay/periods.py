@@ -60,13 +60,27 @@ def render_scaled(values: Sequence[Score | int], scale: int = 1) -> list[str]:
 
 @dataclass(frozen=True)
 class PeriodReport:
+    """A period and its preperiod, integers (``operator.index``, else
+    TypeError) with period >= 1 and preperiod >= 0."""
+
     preperiod: int
     period: int
     certified: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("preperiod", "period"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if self.preperiod < 0 or self.period < 1:
+            raise ValueError(
+                "period report needs preperiod >= 0 and period >= 1, "
+                f"got preperiod={self.preperiod} period={self.period}"
+            )
+
 
 def verify_period(values: Sequence[Score | int], preperiod: int, period: int) -> bool:
-    """Recheck v(n+period) == v(n) for every n from preperiod to the end."""
+    """Recheck v(n+period) == v(n) for every n from preperiod to the end; period >= 1."""
+    if period < 1:
+        raise ValueError(f"period must be at least 1, got {period}")
     return all(values[n + period] == values[n] for n in range(preperiod, len(values) - period))
 
 
@@ -227,11 +241,13 @@ class LemmaReport:
 def check_lemma(amounts: Iterable[int], i_max: int) -> LemmaReport:
     """Check the alternation identity and its residue bounds up to ``i_max``.
 
-    The sweep runs under the default scan budget, ``ScanInstance.budget``
+    ``i_max`` is an integer (``operator.index``, else TypeError).  The
+    sweep runs under the default scan budget, ``ScanInstance.budget``
     positions, so too large an ``i_max`` raises
     :class:`~scoreplay.octal.BudgetExceededError` instead of exhausting memory.
     """
     rules = subtraction_rules(amounts)
+    i_max = operator.index(i_max)
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
     k = len(rules.digits)

@@ -288,15 +288,23 @@ def test_a_name_or_shorthand_resolves_before_a_file_of_that_name(tmp_path, monke
         lambda: ScanInstance(SUB45, min_window=2.5),
         lambda: ScanInstance(SUB45, budget=7.5),
         lambda: ScanInstance(SUB45, budget="7"),
+        lambda: GrundySolver(SUB45).sweep(7.0),
+        lambda: GrundySolver(SUB45).sweep(7.0, base=heap(4)),
+        lambda: GrundySolver(O26).sweep("7"),
+        lambda: check_lemma([4, 5], 2.0),
+        lambda: GrundySolver(SUB45).to_game(heap(2), max_total=2.5),
+        lambda: iter_heap_multisets(2.5),
     ],
     ids=[
         "float-size", "str-size", "float-amount", "str-amount", "fraction-amount", "float-digit",
         "float-bound", "float-lemma-amount", "float-solver-budget", "float-scan-max-n",
-        "float-scan-min-window", "float-scan-budget", "str-scan-budget",
+        "float-scan-min-window", "float-scan-budget", "str-scan-budget", "float-sweep-max-n",
+        "float-sweep-max-n-from-a-base", "str-splitting-sweep-max-n", "float-lemma-i-max",
+        "float-expansion-bound", "float-multiset-total",
     ],
 )
 def test_sizes_amounts_digits_and_bounds_are_never_truncated(build):
-    """A size, amount, digit, bound or solver or scan setting goes through
+    """A size, amount, digit, bound, sweep length or solver or scan setting goes through
     ``operator.index``, so anything but an integer is refused, before any
     sweep, instead of naming another game or budget."""
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -791,16 +799,21 @@ def test_fill_around_the_first_repeat_of_the_latest_known_preperiod(k):
     assert solver.sweep(len(reference) - 1) == reference
 
 
-@pytest.mark.parametrize(
+# rules whose last digit only empties a heap
+LOOKBACK_PAST_TAKE = pytest.mark.parametrize(
     "digits, points",
     [
         ((3, 2, 1), (1, -2, 5)),
         ((3, 2, 1), (1, 2, 3)),
         ((2, 3, 0, 1, 1), (1, Fraction(1, 2), 0, 3, -4)),
         ((3, 0, 0, 0, 1), (1, 0, 0, 0, 7)),
+        ((3, 0, 1), (1, 2, 3)),
     ],
-    ids=["321-a", "321-b", "23011", "30001"],
+    ids=["321-a", "321-b", "23011", "30001", "301"],
 )
+
+
+@LOOKBACK_PAST_TAKE
 @pytest.mark.parametrize("modulus", [octal._WINDOW_HASH_MODULUS, 1], ids=["hash", "collide"])
 def test_fill_with_a_lookback_past_the_largest_surviving_take(monkeypatch, digits, points, modulus):
     """The last digit only empties a heap, so a window of the surviving
@@ -907,28 +920,43 @@ def test_a_sweeps_repeat_proves_the_least_preperiod(rules, proved):
 )
 def test_a_sweep_without_a_repeat_proves_no_period(rules, sweep):
     """Split heaps and a base leave the recurrence; with no move that
-    leaves a heap, or no entry past the digit count, no window is searched."""
-    assert sweep(GrundySolver(rules)).proved is None
+    leaves a heap, or no entry past the digit count, no window is searched.
+    The memo walk's table is a SweepTable too, equal to the plain list."""
+    values = sweep(GrundySolver(rules))
+    assert type(values) is SweepTable and values == list(values)
+    assert values.proved is None
+
+
+@LOOKBACK_PAST_TAKE
+@pytest.mark.parametrize("modulus", [octal._WINDOW_HASH_MODULUS, 1], ids=["hash", "collide"])
+def test_only_a_repeat_of_the_whole_lookback_window_proves_a_period(monkeypatch, digits, points, modulus):
+    """The window of the surviving takes repeats first, and it too would
+    prove the period, but before the certified search can certify from
+    the values: at 6, ``h`` with digits 3 0 1 shows 0 1 0 3 -2 3 -2, and
+    (3, 2) needs 3 + 2 + 3 values.  So the table proves a pair only when
+    all f entries repeat, and the pair is the search's report."""
+    monkeypatch.setattr(octal, "_WINDOW_HASH_MODULUS", modulus)
+    rules = OctalRules("h", digits, points)
+    for max_n in range(80):
+        values = GrundySolver(rules).sweep(max_n)
+        if values.proved is not None:
+            assert detect_certified_period(rules, values) == PeriodReport(*values.proved, certified=True)
 
 
 @pytest.mark.parametrize(
-    "rules, sweep, proved",
-    [
-        (SUB45, lambda s: s.sweep(60), (27, 10)),
-        (SUB45, lambda s: s.sweep(3), None),
-        (OctalRules("h", (1, 0, 1), (2, 0, -1)), lambda s: s.sweep(10), None),
-        (subtraction_rules((99, 100)), lambda s: s.sweep(1000), None),
-        (SUB45, lambda s: s.sweep(20, base=heap(4)), None),
-        (O26, lambda s: s.sweep(12), None),
-    ],
-    ids=["fill-repeat", "no-fill", "no-heap-left", "no-repeat-yet", "fixed-base", "splitting"],
+    "rules, max_n, proved",
+    [(SUB45, 60, (27, 10)), (subtraction_rules((99, 100)), 1000, None)],
+    ids=["fill-repeat", "no-repeat-yet"],
 )
-def test_every_sweep_returns_a_table_equal_to_its_values(rules, sweep, proved):
-    """The fill and the memo walk both return a SweepTable, a list equal to
-    the plain list of its values; only the fill's repeat sets ``proved``."""
-    values = sweep(GrundySolver(rules))
+@pytest.mark.parametrize("modulus", [octal._WINDOW_HASH_MODULUS, 1], ids=["hash", "collide"])
+def test_a_fill_returns_a_table_equal_to_its_values(monkeypatch, rules, max_n, proved, modulus):
+    """The fill's table is a SweepTable, a list equal to the plain list of
+    its values; only an exact repeat sets ``proved``, also modulo 1, where
+    every window hashes alike.  sub-99-100's first repeat ends at 19,802."""
+    monkeypatch.setattr(octal, "_WINDOW_HASH_MODULUS", modulus)
+    values = GrundySolver(rules).sweep(max_n)
     assert type(values) is SweepTable
-    assert values == list(values) and list(values) == values
+    assert values == list(values) == recurrence(rules, max_n)
     assert values.proved == proved
 
 

@@ -42,6 +42,7 @@ def frac(values):
 
 O3333P2 = rules_from_name("o3333p2")
 SUB3 = subtraction_rules((3,))
+SUB45 = subtraction_rules((4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,28 @@ def test_verify_period_checks_every_index():
     assert verify_period(values, 1, 2)
     assert not verify_period(values, 0, 2)
     assert not verify_period(values, 1, 3)
+
+
+@pytest.mark.parametrize("period", [0, -10])
+def test_verify_period_refuses_a_period_below_1(period):
+    """A period of 0 compares each value with itself, and a negative one
+    no pair at all, so either would hold of any sequence."""
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        verify_period(sweep(SUB45, 100), 5, period)
+
+
+@pytest.mark.parametrize(
+    "preperiod, period, error",
+    [(0, 0, ValueError), (27, -10, ValueError), (-1, 10, ValueError), (27, 10.0, TypeError), ("27", 10, TypeError)],
+    ids=["period-0", "negative-period", "negative-preperiod", "float-period", "str-preperiod"],
+)
+def test_a_period_report_refuses_what_no_sequence_has(preperiod, period, error):
+    """Before these were refused, certify_period passed sub45's sweep with
+    the reports (0, 0) and (27, -10)."""
+    with pytest.raises(error):
+        PeriodReport(preperiod, period)
+    assert certify_period(SUB45, PeriodReport(27, 10), sweep(SUB45, 100))
+    assert PeriodReport(True, 10) == PeriodReport(1, 10)
 
 
 # ---------------------------------------------------------------------------
