@@ -567,7 +567,8 @@ class GrundySolver:
         finds the same pair from the values, and stays as the fallback of a
         sweep without a repeat and as the oracle the tests check this against.
         """
-        table = SweepTable()
+        # a plain list while it is filled: appending to a list subclass is slower
+        table: list[int] = []
         digits = rules.digits
         awards = self._awards[rules.name]
         keeps = [(take, awards[take - 1]) for take, d in enumerate(digits, start=1) if d & 2]
@@ -579,7 +580,7 @@ class GrundySolver:
         if not keeps:  # no move leaves a heap, so these heaps have no move at all
             table.extend([0] * (max_n + 1 - len(table)))
         if len(table) > max_n:
-            return table
+            return SweepTable(table)
         # past len(digits) beans every move leaves a heap, and table[-take] is v[n - take]
         kept_awards = [award for _, award in keeps]
         back = [-take for take, _ in keeps]
@@ -604,14 +605,15 @@ class GrundySolver:
                     start = anchor - lookback
                     while start and table[start - 1] == table[start - 1 + period]:
                         start -= 1
-                    table.proved = (start, period)
                     block = table[anchor:]
                     whole, part = divmod(max_n + 1 - len(table), period)
+                    table = SweepTable(table)
+                    table.proved = (start, period)
                     table += block * whole
                     table += block[:part]
                     return table
             stride *= 2
-        return table
+        return SweepTable(table)
 
     def _budget_error(self, position: Position) -> BudgetExceededError:
         return BudgetExceededError(

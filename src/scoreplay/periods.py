@@ -68,9 +68,7 @@ class PeriodReport:
     certified: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("preperiod", "period"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.preperiod < 0 or self.period < 1:
+        if operator.index(self.preperiod) < 0 or operator.index(self.period) < 1:
             raise ValueError(
                 "period report needs preperiod >= 0 and period >= 1, "
                 f"got preperiod={self.preperiod} period={self.period}"

@@ -148,8 +148,8 @@ MUTANTS = (
     # -- what a report may claim
     Mutant(
         "periods.py",
-        "        if self.preperiod < 0 or self.period < 1:",
-        "        if self.preperiod < 0 or self.period < 0:",
+        "        if operator.index(self.preperiod) < 0 or operator.index(self.period) < 1:",
+        "        if operator.index(self.preperiod) < 0 or operator.index(self.period) < 0:",
         "report-allows-period-0",
         (P + "test_a_period_report_refuses_what_no_sequence_has[period-0]",),
     ),
@@ -197,10 +197,8 @@ MUTANTS = (
     Mutant(
         "octal.py",
         "                if window == anchor_window and table[anchor - lookback : anchor] == table[-lookback:]:\n",
-        "                if window == anchor_window:\n"
-        "                    table.proved = (anchor - lookback, len(table) - anchor)\n"
-        "                if window == anchor_window and table[anchor - lookback : anchor] == table[-lookback:]:\n",
-        "proved-set-on-a-hash-match",
+        "                if window == anchor_window:\n",
+        "repeat-proved-by-its-hash-alone",
         (O + "test_a_fill_returns_a_table_equal_to_its_values[collide-no-repeat-yet]",),
     ),
     Mutant(
