@@ -272,8 +272,9 @@ def _cmd_oracle(args) -> int:
         bad = 0
         for heaps in iter_heap_multisets(args.max_total):
             position = Position((name, size) for size in heaps)
-            value = solver.value(position)
+            # to_game values each position it classes, so value is then a memo hit
             scores = final_scores(solver.to_game(position, max_total=args.max_total))
+            value = solver.value(position)
             if not (value == scores.sl == -scores.sr):
                 bad += 1
                 print(

@@ -24,7 +24,6 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, partial
 from itertools import islice
 from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -402,6 +401,19 @@ class SweepTable(list):
     proved: tuple[int, int] | None = None
 
 
+class _Fractions(dict):
+    """``Fraction(x, scale)`` for each scaled int ``x``, built on its first lookup."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.scale)
+        return value
+
+
 class GrundySolver:
     """Memoized evaluator for the first player's optimal score differential.
 
@@ -409,11 +421,13 @@ class GrundySolver:
     position is the best over all moves of the award minus the value of the
     position left behind; positions without moves are worth zero.  One memo
     serves every query, so queries share work.  The ``budget`` is
-    cumulative per solver, not per query: it caps the memo plus the table
-    a sweep is building.  None means no cap; otherwise the budget is an
-    integer (``operator.index``, else TypeError), and a negative one is refused.  A
-    position with more moves than the budget has room for is refused
-    before its moves are built, as every one of them would be held.
+    cumulative per solver, not per query: it caps the memo plus the
+    positions a walk is holding, or the table a sweep is building, and it
+    bounds :meth:`to_game` as it bounds :meth:`value`.  None means no cap;
+    otherwise the budget is an integer (``operator.index``, else
+    TypeError), and a negative one is refused.  A position with more moves
+    than the budget has room for is refused before its moves are built,
+    as every one of them would be held.
     Not thread-safe: give each worker its own solver (values do not depend
     on evaluation order).
 
@@ -426,12 +440,16 @@ class GrundySolver:
     scores of :meth:`to_game`, one Fraction per distinct value.
 
     :meth:`value` and :meth:`to_game` walk positions through one
-    generator, which builds each position's moves once per walk and drops
-    them as soon as the position is done; the two keep separate memos, so
-    a caller of both builds each position's moves twice.  :meth:`to_game`
-    expands one node per class of positions and running score; a class is
-    its interned shape.  Every entry point refuses anything but a
-    :class:`Position` of loaded rulesets.
+    generator, which values each position it reaches and drops its moves
+    as soon as the position is done.  :meth:`to_game` adds the position's
+    class on top, so every classed position is valued: after
+    :meth:`to_game`, :meth:`value` of any position it reached is a memo
+    hit, and a caller of both in that order builds each position's moves
+    once.  In the other order, :meth:`to_game` walks again the positions
+    :meth:`value` did not class.  :meth:`to_game` expands one node per
+    class of positions and running score; a class is its interned shape.
+    Every entry point refuses anything but a :class:`Position` of loaded
+    rulesets.
     """
 
     def __init__(self, rules: OctalRules | Iterable[OctalRules], budget: int | None = None):
@@ -450,27 +468,23 @@ class GrundySolver:
         self._class_of: dict[Position, frozenset] = {}
         self._classes: dict[frozenset, frozenset] = {}
         self._games: dict[tuple[frozenset, int], Game] = {}
-        # a scaled int x as Fraction(x, scale), built once per x
-        self._as_fraction = cache(partial(Fraction, denominator=self.scale))
+        self._as_fraction = _Fractions(self.scale)
 
     @property
     def positions_evaluated(self) -> int:
-        """Positions memoized by :meth:`value`; a sweep's table is not kept."""
+        """Positions in the value memo, which :meth:`value` and :meth:`to_game`
+        both fill; a sweep's table is not kept."""
         return len(self._values)
 
     def value(self, position: Position) -> Score:
         """Optimal score differential for the player to move."""
-        return self._as_fraction(self._scaled_value(position))
+        return self._as_fraction[self._scaled_value(position)]
 
     def _scaled_value(self, position: Position) -> int:
         _require_position(position, self.rules)
-        values = self._values
-        # Every next position of a position is valued before it, so a
-        # position with more moves than the budget exceeds it anyway:
-        # _expand refuses it before its moves are built.
-        for pos, moves in self._expand(position, values, self.budget):
-            values[pos] = max((award - values[nxt] for award, nxt in moves), default=0)
-        return values[position]
+        for _ in self._expand(position, self._values):
+            pass
+        return self._values[position]
 
     def best_moves(self, position: Position) -> list[MoveOutcome]:
         """The legal moves that reach the position's value, in canonical order.
@@ -485,28 +499,36 @@ class GrundySolver:
         ]
 
     def _expand(
-        self, root: Position, done: Collection[Position], room: int | None = None
+        self, root: Position, done: Collection[Position]
     ) -> Iterator[tuple[Position, list[tuple[int, Position]]]]:
         """``(position, moves)`` for each position under ``root`` not in ``done``, next positions first.
 
-        The caller adds each yielded position to ``done`` before asking for
-        the next.  A position's moves are held only until it is yielded:
-        keeping them all would hold every move of every position reached.
-        With a ``room``, the positions in ``done`` and those waiting on
-        their next positions may number at most ``room``, and a position
-        with more moves than that is refused before they are built.
+        Each position is valued into the memo before it is yielded, so
+        ``done`` is the memo itself or a subset of it, and the caller adds
+        each yielded position to ``done`` before asking for the next.  A
+        position's moves are held only until it is yielded: keeping them
+        all would hold every move of every position reached.
+
+        The memo and the positions waiting on their next positions may
+        number at most the budget, whichever ``done`` the walk skips on.
+        Every next position of a position is valued before it, so a
+        position with more moves than the budget exceeds it anyway, and it
+        is refused before its moves are built.  A position valued but not
+        in ``done`` counts twice while it waits, once in the memo.
         """
-        rules, awards = self.rules, self._awards
+        rules, awards, values, room = self.rules, self._awards, self._values, self.budget
         pending: dict[Position, list[tuple[int, Position]]] = {}
 
         def next_positions(pos: Position) -> list[Position]:
             moves = pending[pos] = _next_moves(pos, rules, awards, room)
-            if moves is None or room is not None and len(done) + len(pending) > room:
+            if moves is None or room is not None and len(values) + len(pending) > room:
                 raise self._budget_error(root)
             return [nxt for _, nxt in moves]
 
         for pos in _post_order(root, done, next_positions):
-            yield pos, pending.pop(pos)
+            moves = pending.pop(pos)
+            values[pos] = max((award - values[nxt] for award, nxt in moves), default=0)
+            yield pos, moves
 
     def sweep(self, max_n: int, var: str | None = None, base: Position = Position()) -> SweepTable:
         """Values of ``base`` plus one growing heap, for sizes 0..max_n, each times ``scale``.
@@ -627,7 +649,10 @@ class GrundySolver:
         Left's awards add to the running score and Right's subtract, so the
         final scores of the expansion match the evaluator's value and its
         negation.  ``max_total`` bounds the beans in play and is an integer
-        (``operator.index``, else TypeError); the budget does not apply here.
+        (``operator.index``, else TypeError), checked first.  The walk that
+        classes the positions values them too, so the budget bounds it as
+        it bounds :meth:`value`, and what it holds counts in
+        :attr:`positions_evaluated`; the nodes are not counted.
 
         Nodes are keyed by a position's class and the running score.  A
         class is a position's shape, interned: the set of ``(award, class
@@ -665,7 +690,7 @@ class GrundySolver:
 
         for key in _post_order((root, 0), games, options):
             cls, offset = key
-            score = as_fraction(offset)
+            score = as_fraction[offset]
             # distinct keys, so distinct nodes: each side is a set already
             games[key] = _intern(
                 score.numerator,

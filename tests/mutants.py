@@ -1,4 +1,4 @@
-"""Mutation gate for the period certificate: every listed mutant must be killed.
+"""Mutation gate for the period certificate and the solver's walk: every listed mutant must be killed.
 
 Each row of ``MUTANTS`` changes one piece of text in ``src/scoreplay``.  The
 runner copies ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` into a
@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 P = "tests/test_periods.py::"
 O = "tests/test_octal.py::"
+C = "tests/test_cli.py::"
+VALUE_FORMULA = "            values[pos] = max((award - values[nxt] for award, nxt in moves), default=0)\n"
 
 MUTANTS = (
     # -- the certified search (periods.detect_certified_period)
@@ -218,6 +220,31 @@ MUTANTS = (
         "        lookback = max(take for take, _ in keeps)\n",
         "lookback-largest-surviving-take",
         (O + "test_only_a_repeat_of_the_whole_lookback_window_proves_a_period[collide-301]",),
+    ),
+    # -- one walk values and classes (octal.GrundySolver._expand)
+    Mutant(
+        "octal.py",
+        VALUE_FORMULA,
+        "            if done is values:\n    " + VALUE_FORMULA,
+        "to-game-walk-values-nothing",
+        (O + "test_to_game_generates_each_positions_moves_once",
+         O + "test_to_game_counts_against_the_budget",
+         C + "test_oracle_builds_each_positions_moves_once"),
+    ),
+    Mutant(
+        "octal.py",
+        "            if moves is None or room is not None and len(values) + len(pending) > room:",
+        "            if moves is None or room is not None and len(done) + len(pending) > room:",
+        "budget-counts-the-done-set",
+        (O + "test_to_game_counts_the_positions_value_holds",),
+    ),
+    Mutant(
+        "octal.py",
+        VALUE_FORMULA,
+        VALUE_FORMULA.replace("award - values[nxt]", "values[nxt] - award"),
+        "value-formula-sign-flip",
+        (O + "test_expansion_matches_value_and_its_negation",
+         O + "test_scaled_solver_matches_fraction_reference"),
     ),
 )
 

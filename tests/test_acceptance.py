@@ -99,6 +99,8 @@ def test_criterion_04_evaluator_matches_expanded_trees():
         solver = GrundySolver(rules)
         for heaps in multisets:
             position = Position(tuple((rules.name, size) for size in heaps))
+            # value first, so the value memo's own walk is checked against the
+            # trees; the CLI oracle runs to_game first and checks that order
             value = solver.value(position)
             sl, sr = final_scores(solver.to_game(position, max_total=12))
             assert value == sl == -sr, (rules.name, heaps)

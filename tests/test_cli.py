@@ -204,6 +204,24 @@ def test_gs_builds_the_roots_moves_twice_and_every_other_positions_once(run, mon
     assert set(calls.values()) == {1}
 
 
+def test_oracle_builds_each_positions_moves_once(run, monkeypatch):
+    """``oracle`` expands a position before it values it, and the walk that
+    classes a position values it too, so ``value`` is a memo hit."""
+    calls = Counter()
+    next_moves = octal._next_moves
+
+    def counting_next_moves(position, *args):
+        calls[position] += 1
+        return next_moves(position, *args)
+
+    monkeypatch.setattr(octal, "_next_moves", counting_next_moves)
+    code, out, err = run("oracle", "--rules", "o26", "--max-total", "10")
+    assert (code, err) == (0, "")
+    assert out.endswith("oracle: pass (rulesets=1, positions=139)\n")
+    assert len(calls) == 139  # every position it checks, and no other
+    assert set(calls.values()) == {1}
+
+
 def test_gs_accepts_inline_rules_and_multiple_heaps(run):
     code, out, _ = run(
         "gs",
@@ -582,6 +600,14 @@ def test_a_huge_splitting_heap_fails_with_a_budget_error(argv, message):
     elapsed = time.perf_counter() - started
     assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
     assert elapsed < 5  # a fresh interpreter included; the refusal itself takes milliseconds
+
+
+def test_oracle_keeps_its_budget_error_bytes(run):
+    """The budget trips at the same position whichever of ``to_game`` and
+    ``value`` walks first."""
+    assert run("oracle", "--rules", "o26", "--rules", "sub45", "--max-total", "12", "--budget", "200") == (
+        2, "", "error: position budget exceeded (200 positions) evaluating 1@o26,2@o26,4@o26,5@o26\n"
+    )
 
 
 def test_lemma_refuses_a_bad_amount(run):

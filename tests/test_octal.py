@@ -1145,8 +1145,9 @@ def test_move_limit_refuses_exactly_the_positions_with_more_moves(a, b, heaps, l
 def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(monkeypatch):
     """2000@o26 has 1,001 moves, more than a budget of 10 can hold, so its
     move list is never built.  ``best_moves`` values the position before
-    it lists the root's moves, so it refuses the position as ``value``
-    does.  (The CLI tests run a heap of 10**8 beans under a memory cap.)"""
+    it lists the root's moves, and ``to_game`` values each position it
+    classes, so both refuse the position as ``value`` does.  (The CLI
+    tests run a heap of 10**8 beans under a memory cap.)"""
     built = []
     next_moves = octal._next_moves
 
@@ -1155,24 +1156,33 @@ def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(m
         return built[-1]
 
     monkeypatch.setattr(octal, "_next_moves", recording_next_moves)
-    for ask in ("value", "best_moves"):
+    asks = {
+        "value": GrundySolver.value,
+        "best_moves": GrundySolver.best_moves,
+        "to_game": lambda solver, position: solver.to_game(position, max_total=2000),
+    }
+    for name, ask in asks.items():
         built.clear()
         solver = GrundySolver(O26, budget=10)
         with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(10 positions\) evaluating 2000@o26$"):
-            getattr(solver, ask)(heap(2000, O26))
-        assert built == [None], ask
-        assert solver.positions_evaluated == 0, ask
+            ask(solver, heap(2000, O26))
+        assert built == [None], name
+        assert solver.positions_evaluated == 0, name
         # with fewer moves than the budget, it trips as before, once positions are held
         small = GrundySolver(O26, budget=10)
         with pytest.raises(BudgetExceededError, match=r"evaluating 12@o26$"):
-            getattr(small, ask)(heap(12, O26))
-        assert None not in built[1:], ask
-        assert small.positions_evaluated > 0, ask
+            ask(small, heap(12, O26))
+        assert None not in built[1:], name
+        assert small.positions_evaluated > 0, name
 
 
 def test_to_game_generates_each_positions_moves_once(monkeypatch):
+    """The walk that classes a position values it too, so ``value`` after
+    ``to_game`` is a memo hit: the oracle's order."""
+    positions = [Position(tuple(("o26", size) for size in heaps)) for heaps in iter_heap_multisets(8)]
+    reference = FractionReference([O26])
+    expected = [reference.value(position) for position in positions]
     calls = Counter()
-
     next_moves = octal._next_moves
 
     def counting_next_moves(position, *args):
@@ -1180,9 +1190,11 @@ def test_to_game_generates_each_positions_moves_once(monkeypatch):
         return next_moves(position, *args)
 
     monkeypatch.setattr(octal, "_next_moves", counting_next_moves)
-    solver = GrundySolver(rules_from_name("o26"))
-    for heaps in iter_heap_multisets(8):
-        solver.to_game(Position(tuple(("o26", size) for size in heaps)))
+    solver = GrundySolver(O26)
+    for position in positions:
+        solver.to_game(position)
+    assert solver._class_of.keys() == solver._values.keys()
+    assert [solver.value(position) for position in positions] == expected
     assert len(calls) == 67  # every position of at most 8 beans is reached
     assert set(calls.values()) == {1}
 
@@ -1270,12 +1282,40 @@ def test_expansion_builds_one_node_per_key():
         assert len(solver._classes) < len(solver._class_of), rules.name
 
 
-def test_to_game_is_outside_the_budget():
-    """``to_game`` is bounded by ``max_total``, not by the budget: a solver
-    with no room at all builds the same node and values no position."""
+def test_to_game_counts_against_the_budget():
+    """``to_game`` is bounded by the budget as well as by ``max_total``: at
+    every budget it fails with ``value``'s error at the same position and
+    holds the same memo, in the same order."""
+    rules = (O26, SUB45)
+    for position in heap(12, O26), Position((("o26", 5), ("o26", 4))), Position((("o26", 6), ("sub45", 9))):
+        for budget in range(60):  # past every position's count, so both fail and succeed
+            by_value = GrundySolver(rules, budget=budget)
+            by_game = GrundySolver(rules, budget=budget)
+            outcome = budget_outcome(lambda solver: solver.value(position), by_value)
+            assert budget_outcome(lambda solver: solver.to_game(position), by_game) == outcome, (position, budget)
+            assert list(by_game._values) == list(by_value._values), (position, budget)
     solver = GrundySolver(O26, budget=0)
-    assert solver.to_game(heap(8, O26)) is GrundySolver(O26).to_game(heap(8, O26))
+    with pytest.raises(BudgetExceededError, match=r"^position budget exceeded \(0 positions\) evaluating 8@o26$"):
+        solver.to_game(heap(8, O26))
     assert solver.positions_evaluated == 0
+
+
+def test_to_game_counts_the_positions_value_holds():
+    """The budget is per solver: positions that ``value`` memoized count
+    against a later ``to_game`` walk over other positions."""
+    rules = (O26, SUB45)
+    big, small = heap(40), heap(10, O26)  # no position lies under both
+    valued, classed = GrundySolver(rules), GrundySolver(rules)
+    valued.value(big)
+    classed.to_game(small)
+    room = valued.positions_evaluated + classed.positions_evaluated
+    tight, enough = GrundySolver(rules, budget=room - 1), GrundySolver(rules, budget=room)
+    for solver in (tight, enough):
+        solver.value(big)
+    with pytest.raises(BudgetExceededError, match=rf"^position budget exceeded \({room - 1} positions\) evaluating 10@o26$"):
+        tight.to_game(small)
+    assert enough.to_game(small) is classed.to_game(small)
+    assert enough.positions_evaluated == room
 
 
 def test_a_dropped_solver_frees_its_nodes():
