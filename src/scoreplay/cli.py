@@ -29,6 +29,7 @@ from scoreplay.octal import (
     _normalize_rules,
     _parse_int,
     _resolve_var,
+    _tokens,
     iter_heap_multisets,
     parse_position,
     render_position,
@@ -37,12 +38,12 @@ from scoreplay.octal import (
 from scoreplay.periods import (
     ScanInstance,
     _bool,
+    _rendered_digest,
     check_lemma,
     parse_scan_spec,
     render_scaled,
     run_scan,
     scan_instance,
-    sequence_digest,
 )
 
 
@@ -79,6 +80,11 @@ def _attach_negative_games(argv: list[str]) -> list[str]:
     return out
 
 
+def _int_option(text: str) -> int:
+    """An option's integer; argparse names the option and, for this error type, does not echo the value."""
+    return _parse_int(text, "integer", repr(text), argparse.ArgumentTypeError)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scoreplay",
@@ -102,9 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     heap = argparse.ArgumentParser(add_help=False)  # options of every heap command
     heap.add_argument("--rules", action="append", required=True, metavar="REF",
                       help="rules file, preset or generated name, sub:/nim: shorthand, or inline document")
-    heap.add_argument("--budget", type=int, default=ScanInstance.budget)
+    heap.add_argument("--budget", type=_int_option, default=ScanInstance.budget)
     sweep = argparse.ArgumentParser(add_help=False)  # options of the growing-heap commands
-    sweep.add_argument("--max-n", type=int, required=True)
+    sweep.add_argument("--max-n", type=_int_option, required=True)
     sweep.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")
     sweep.add_argument("--fixed", default="-",
                        help="base position added to every entry (certification needs an empty base)")
@@ -119,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", parents=[heap, sweep],
                        help="detect and certify the eventual period of a value sweep")
-    p.add_argument("--min-window", type=int, default=ScanInstance.min_window)
+    p.add_argument("--min-window", type=_int_option, default=ScanInstance.min_window)
     p.set_defaults(handler=_cmd_period)
 
     p = sub.add_parser("lemma", help="alternation identity for a take-s-score-s subtraction set")
-    p.add_argument("--set", required=True, help="subtraction amounts, e.g. '4,5'")
-    p.add_argument("--imax", type=int, default=15)
+    p.add_argument("--set", required=True, help="subtraction amounts, e.g. '4,5', '4 5' or '[4,5]'")
+    p.add_argument("--imax", type=_int_option, default=15)
     p.set_defaults(handler=_cmd_lemma)
 
     p = sub.add_parser("scan", help="run an evidence scan from a spec file")
@@ -134,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[heap],
                        help="cross-check evaluator values against expanded game trees")
-    p.add_argument("--max-total", type=int, required=True)
+    p.add_argument("--max-total", type=_int_option, required=True)
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
@@ -193,17 +199,16 @@ def _cmd_table(args) -> int:
     rules = _load_rules(args.rules)
     base = parse_position(args.fixed, known=rules)
     solver = GrundySolver(rules.values(), budget=args.budget)
-    values = solver.sweep(args.max_n, args.var, base)
-    rendered = render_scaled(values, solver.scale)
+    varying = _resolve_var(rules, args.var)
+    rendered = render_scaled(solver.sweep(args.max_n, varying.name, base), solver.scale)
     body = "n,value\n" + "\n".join(f"{n},{text}" for n, text in enumerate(rendered))
     if args.format == "structured":
-        varying = _resolve_var(rules, args.var)
         print("format: table")
         print(f"rules: {varying.name}")
         print(f"rules-digest: {varying.digest}")
         print(f"fixed: {render_position(base)}")
         print(f"max-n: {args.max_n}")
-        print(f"values-digest: {sequence_digest(values, solver.scale)}")
+        print(f"values-digest: {_rendered_digest(rendered)}")
         print()
     print(body)
     return 0
@@ -233,8 +238,7 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    shown = f"in --set {args.set!r}"
-    amounts = [_parse_int(tok, "subtraction amounts", shown) for tok in args.set.replace(",", " ").split()]
+    amounts = [_parse_int(tok, "subtraction amounts", f"in --set {args.set!r}") for tok in _tokens(args.set)]
     report = check_lemma(amounts, args.imax)
     joined = ",".join(map(str, report.subtraction_set))
     print(f"set={{{joined}}} k={report.k} imax={report.i_max}")

@@ -148,7 +148,7 @@ PRESETS = {r.name: r for r in (
 )}
 
 
-def _parse_int(token: str, what: str, shown: str, error: type[ValueError] = ValueError) -> int:
+def _parse_int(token: str, what: str, shown: str, error: type[Exception] = ValueError) -> int:
     """``int(token)``, else ``error`` with the message ``bad {what} {shown}``.
 
     A digit string longer than int() converts is not echoed: its message
@@ -196,10 +196,7 @@ def parse_rules_document(text: str) -> OctalRules:
     missing = sorted(keys - set(entries))
     if missing:
         raise RulesError(f"missing rules fields: {', '.join(missing)}")
-    try:
-        digits = tuple(int(tok) for tok in _tokens(entries["digits"]))
-    except ValueError as exc:
-        raise RulesError(f"bad digit in rules document: {exc}") from None
+    digits = tuple(_parse_int(tok, "digit in rules document", repr(tok), RulesError) for tok in _tokens(entries["digits"]))
     points = tuple(parse_score(tok) for tok in _tokens(entries["points"]))
     rules = OctalRules(entries["name"], digits, points)
     if rules_from_name(rules.name) not in (None, rules):
@@ -233,10 +230,8 @@ def resolve_rules_ref(ref: str) -> OctalRules:
     if not ref:
         raise RulesError("empty rules reference")
     if ref.startswith("sub:"):
-        amounts = [
-            _parse_int(tok, "subtraction amounts", f"in {ref!r}", RulesError) for tok in _tokens(ref[4:])
-        ]
-        return subtraction_rules(amounts)
+        shown = f"in {ref!r}"
+        return subtraction_rules(_parse_int(tok, "subtraction amounts", shown, RulesError) for tok in _tokens(ref[4:]))
     if ref.startswith("nim:"):
         return standard_nim(_parse_int(ref[4:], "heap bound", f"in {ref!r}", RulesError))
     named = rules_from_name(ref)
@@ -301,12 +296,7 @@ def parse_position(text: str, known: Collection[str] | None = None) -> Position:
             digits, name = term, next(iter(known))
         else:
             raise ValueError(f"bad heap term {term!r}; expected size@ruleset")
-        try:
-            size = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise ValueError(
-                f"size of heap term {index} has more than {sys.get_int_max_str_digits()} digits"
-            ) from None
+        size = _parse_int(digits, f"size of heap term {index}", repr(term))
         if known is not None and name not in known:
             raise UnknownRulesetError(f"position references unknown ruleset {name!r}")
         heaps.append((name, size))

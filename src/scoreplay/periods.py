@@ -30,6 +30,7 @@ from scoreplay.octal import (
     OctalRules,
     Position,
     _parse_int,
+    _tokens,
     parse_position,
     resolve_rules_ref,
     rules_from_name,
@@ -43,8 +44,12 @@ def sequence_digest(values: Sequence[Score | int], scale: int = 1) -> str:
     Entry ``x`` stands for the value ``x / scale``: a solver's scaled ints
     with its ``scale``, or exact values with the default 1.
     """
-    payload = ",".join(render_scaled(values, scale))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return _rendered_digest(render_scaled(values, scale))
+
+
+def _rendered_digest(rendered: Sequence[str]) -> str:
+    """:func:`sequence_digest` of values that :func:`render_scaled` has already rendered."""
+    return hashlib.sha256(",".join(rendered).encode("utf-8")).hexdigest()[:16]
 
 
 def render_scaled(values: Sequence[Score | int], scale: int = 1) -> list[str]:
@@ -441,7 +446,7 @@ _MAX_GROUND = 16  # a family of 2**16 - 1 subsets
 def _parse_ground_set(value: str) -> list[int]:
     """Elements and ``a-b`` ranges; more than ``_MAX_GROUND`` elements are refused."""
     ground: set[int] = set()
-    for token in value.replace(",", " ").split():
+    for token in _tokens(value):
         lo, dash, hi = token.partition("-")
         first = _parse_int(lo, "ground set element", repr(token))
         last = _parse_int(hi, "ground set element", repr(token)) if dash else first

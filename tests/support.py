@@ -7,6 +7,7 @@ caches, so the two implementations can check each other.
 
 from __future__ import annotations
 
+import resource
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,13 @@ from scoreplay.octal import MoveOutcome, OctalRules, Position, UnknownRulesetErr
 # int() refuses a decimal string longer than this many digits; 0 means no limit.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 NINES = "9" * 5000  # more digits than int() converts
+
+
+def cap_address_space() -> None:
+    """A child process's ``preexec_fn``: at most 1 GiB of address space, so
+    a regression that builds without bound fails fast instead of taking
+    the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 def naive_final_scores(game: Game, memo: dict | None = None) -> tuple[Fraction, Fraction]:

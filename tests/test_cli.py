@@ -2,7 +2,6 @@
 
 import io
 import re
-import resource
 import subprocess
 import sys
 import time
@@ -20,7 +19,7 @@ from scoreplay.cli import main
 from scoreplay.games import MAX_RENDER_CHARS, FinalScores, format_score
 from scoreplay.octal import BudgetExceededError, GrundySolver, OctalRules, Position, standard_nim
 from scoreplay.periods import ScanInstance, ScanSpec
-from support import INT_DIGIT_LIMIT, NINES, non_splitting_rules
+from support import INT_DIGIT_LIMIT, NINES, cap_address_space, non_splitting_rules
 
 
 @pytest.fixture
@@ -253,7 +252,7 @@ def test_heap_size_with_too_many_digits_names_its_term(run, argv, term):
     huge = "1" * (INT_DIGIT_LIMIT + 1)
     code, out, err = run(*(arg.replace("HUGE", huge) for arg in argv))
     assert (code, out) == (2, "")
-    assert err.splitlines() == [f"error: size of heap term {term} has more than {INT_DIGIT_LIMIT} digits"]
+    assert err.splitlines() == [f"error: bad size of heap term {term}: more than {INT_DIGIT_LIMIT} digits"]
 
 
 @pytest.mark.parametrize(
@@ -567,10 +566,6 @@ def test_lemma_sweeps_under_the_default_budget(run):
     )
 
 
-def _cap_address_space() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -595,7 +590,7 @@ def test_a_huge_splitting_heap_fails_with_a_budget_error(argv, message):
         capture_output=True,
         text=True,
         timeout=120,
-        preexec_fn=_cap_address_space,
+        preexec_fn=cap_address_space,
     )
     elapsed = time.perf_counter() - started
     assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
@@ -620,6 +615,46 @@ def test_lemma_names_the_digit_limit_of_an_over_long_amount(run):
     assert run("lemma", "--set", "4," + NINES) == (
         2, "", f"error: bad subtraction amounts: more than {INT_DIGIT_LIMIT} digits\n"
     )
+
+
+@pytest.mark.parametrize("amounts", ["[4,5]", "4 5", " [4, 5] "])
+def test_lemma_reads_the_set_as_sub_does(run, amounts):
+    """``--set`` takes the list grammar of ``sub:``: commas or spaces, brackets optional."""
+    assert run("lemma", "--set", amounts) == run("lemma", "--set", "4,5")
+
+
+# the integer options, each after the arguments its command needs
+INT_OPTIONS = {
+    "--budget": ["table", "--rules", "sub45", "--max-n", "3", "--budget"],
+    "--max-n": ["table", "--rules", "sub45", "--max-n"],
+    "--min-window": ["period", "--rules", "sub45", "--max-n", "3", "--min-window"],
+    "--imax": ["lemma", "--set", "4,5", "--imax"],
+    "--max-total": ["oracle", "--rules", "o26", "--max-total"],
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param(
+            NINES, marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="int() converts any number of digits")
+        ),
+        "1.5",
+        "x",
+    ],
+    ids=["nines", "fraction", "letter"],
+)
+@pytest.mark.parametrize("option", list(INT_OPTIONS))
+def test_a_malformed_integer_option_gets_one_short_error_line(run, option, value):
+    """The value is read as a rules document's digits are, so an over-long
+    digit string is named by the digit limit and never echoed."""
+    argv = INT_OPTIONS[option]
+    code, out, err = run(*argv, value)
+    assert (code, out) == (2, "")
+    assert len(err.encode("utf-8")) < 300
+    shown = f": more than {INT_DIGIT_LIMIT} digits" if value == NINES else f" {value!r}"
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"scoreplay {argv[0]}: error: argument {option}: bad integer{shown}"]
 
 
 FRACTIONAL = "name: frac; digits: 1 7 6; points: 1/2 -2/3 3/4"

@@ -48,7 +48,10 @@ from scoreplay.periods import (
     detect_certified_period,
 )
 from support import (
+    INT_DIGIT_LIMIT,
+    NINES,
     awards,
+    cap_address_space,
     first_repeated_window,
     naive_final_scores,
     non_splitting_rules,
@@ -170,6 +173,24 @@ def test_a_rules_document_may_not_claim_another_rulesets_name(doc):
 def test_parse_rules_document_errors(doc):
     with pytest.raises(RulesError):
         parse_rules_document(doc)
+
+
+@pytest.mark.parametrize(
+    "digit, message",
+    [
+        ("x", "bad digit in rules document 'x'"),
+        pytest.param(
+            NINES,
+            f"bad digit in rules document: more than {INT_DIGIT_LIMIT} digits",
+            marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="int() converts any number of digits"),
+        ),
+    ],
+    ids=["letter", "nines"],
+)
+def test_a_bad_rules_document_digit_is_named_as_every_integer_is(digit, message):
+    with pytest.raises(RulesError) as info:
+        parse_rules_document(f"name: x; digits: 3 {digit}; points: 1 1")
+    assert str(info.value) == message
 
 
 def test_rules_from_name_round_trips_generated_names():
@@ -1142,12 +1163,9 @@ def test_move_limit_refuses_exactly_the_positions_with_more_moves(a, b, heaps, l
     assert limited == (None if len(moves) > limit else moves)
 
 
-def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(monkeypatch):
-    """2000@o26 has 1,001 moves, more than a budget of 10 can hold, so its
-    move list is never built.  ``best_moves`` values the position before
-    it lists the root's moves, and ``to_game`` values each position it
-    classes, so both refuse the position as ``value`` does.  (The CLI
-    tests run a heap of 10**8 beans under a memory cap.)"""
+def _refuse_a_splitting_heap_before_its_moves_are_built() -> None:
+    """The body of the test below, run in a child process: it patches
+    ``octal._next_moves`` for good, and the child exits after it."""
     built = []
     next_moves = octal._next_moves
 
@@ -1155,7 +1173,7 @@ def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(m
         built.append(next_moves(*args))
         return built[-1]
 
-    monkeypatch.setattr(octal, "_next_moves", recording_next_moves)
+    octal._next_moves = recording_next_moves
     asks = {
         "value": GrundySolver.value,
         "best_moves": GrundySolver.best_moves,
@@ -1174,6 +1192,24 @@ def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built(m
             ask(small, heap(12, O26))
         assert None not in built[1:], name
         assert small.positions_evaluated > 0, name
+
+
+def test_a_splitting_heap_with_too_many_moves_is_refused_before_they_are_built():
+    """2000@o26 has 1,001 moves, more than a budget of 10 can hold, so its
+    move list is never built.  ``best_moves`` values the position before
+    it lists the root's moves, and ``to_game`` values each position it
+    classes, so both refuse the position as ``value`` does.  The checks
+    run in a child under a 1 GiB address-space cap, so a regression that
+    builds every split fails fast instead of exhausting memory.  (The CLI
+    tests run a heap of 10**8 beans under the same cap.)"""
+    tests = str(Path(__file__).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([tests, str(Path(octal.__file__).parents[1])])}
+    check = "import test_octal; test_octal._refuse_a_splitting_heap_before_its_moves_are_built()"
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_to_game_generates_each_positions_moves_once(monkeypatch):

@@ -737,6 +737,13 @@ def test_a_family_of_sixteen_elements_is_accepted():
     assert periods._parse_ground_set("1-16 3 8-12") == list(range(1, 17))
 
 
+@pytest.mark.parametrize("ground", ["[1-3]", "[1, 2, 3]", "1 2,3"])
+def test_a_ground_set_takes_the_list_grammar_of_sub(ground):
+    """Commas or spaces, and optional brackets, as in ``sub:[1,2,3]``."""
+    spec = parse_scan_spec(f"subtraction-family: {ground}\n")
+    assert spec.instances == parse_scan_spec("subtraction-family: 1-3\n").instances
+
+
 BAD_SETTING_SPECS = [
     ("instance: sub45\nmax-n: -1\ninstance: sub:3\n", 3),
     ("instance: sub45\nmin-window: 0\nsubtraction-family: 1-2\n", 3),
