@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from scoreplay.games import (
+    _DIGITS,
     final_scores,
     format_score,
     is_impartial,
@@ -38,6 +39,7 @@ from scoreplay.octal import (
 from scoreplay.periods import (
     ScanInstance,
     _bool,
+    _parse_setting,
     _rendered_digest,
     check_lemma,
     parse_scan_spec,
@@ -57,11 +59,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (BudgetExceededError, ExpansionLimitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:  # printed below, once leaving this clause has freed the frames its traceback holds
+        message = "out of memory; give a smaller input or a lower budget"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
-_NEGATIVE_SCORE = re.compile(r"-\.?\d")
+_NEGATIVE_SCORE = re.compile(rf"-\.?{_DIGITS}")
 
 
 def _attach_negative_games(argv: list[str]) -> list[str]:
@@ -108,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     heap = argparse.ArgumentParser(add_help=False)  # options of every heap command
     heap.add_argument("--rules", action="append", required=True, metavar="REF",
                       help="rules file, preset or generated name, sub:/nim: shorthand, or inline document")
-    heap.add_argument("--budget", type=_int_option, default=ScanInstance.budget)
+    heap.add_argument("--budget", default=ScanInstance.budget,  # read as a scan spec's budget, "none" included
+                      type=lambda text: _parse_setting("budget", text, argparse.ArgumentTypeError))
     sweep = argparse.ArgumentParser(add_help=False)  # options of the growing-heap commands
     sweep.add_argument("--max-n", type=_int_option, required=True)
     sweep.add_argument("--var", help="which ruleset the growing heap uses (default: the only one)")

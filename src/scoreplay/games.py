@@ -62,7 +62,9 @@ def as_score(value: int | str | Fraction) -> Score:
     raise TypeError(f"cannot use {type(value).__name__} as a score")
 
 
-_SCORE_TOKEN = r"[+-]?\d+(?:\.\d+|/\d+)?"
+_DIGITS = "[0-9]+"  # ASCII only: int() also reads 1_0 and other scripts' digits
+_INTEGER = "[+-]?" + _DIGITS  # every integer of input text
+_SCORE_TOKEN = rf"{_INTEGER}(?:\.{_DIGITS}|/{_DIGITS})?"
 # After optional whitespace: a score literal (group 2), or else the one
 # character there, which is empty at the end of the text.
 _TOKEN_RE = re.compile(rf"\s*(({_SCORE_TOKEN})|.?)", re.S)

@@ -28,7 +28,7 @@ from itertools import islice
 from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from scoreplay.games import Game, Score, _intern, _post_order, as_score, format_score, parse_score
+from scoreplay.games import _DIGITS, _INTEGER, Game, Score, _intern, _post_order, as_score, format_score, parse_score
 
 _ZERO = Fraction(0)
 
@@ -149,17 +149,17 @@ PRESETS = {r.name: r for r in (
 
 
 def _parse_int(token: str, what: str, shown: str, error: type[Exception] = ValueError) -> int:
-    """``int(token)``, else ``error`` with the message ``bad {what} {shown}``.
+    """An optional sign and ASCII digits as an int, else ``error``: ``bad {what} {shown}``.
 
     A digit string longer than int() converts is not echoed: its message
     is ``bad {what}: more than N digits``.
     """
+    if not re.fullmatch(_INTEGER, token.strip()):
+        raise error(f"bad {what} {shown}")
     try:
         return int(token)
     except ValueError:
-        if re.fullmatch(r"[+-]?\d+", token.strip()):
-            raise error(f"bad {what}: more than {sys.get_int_max_str_digits()} digits") from None
-        raise error(f"bad {what} {shown}") from None
+        raise error(f"bad {what}: more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _tokens(value: str) -> list[str]:
@@ -167,6 +167,17 @@ def _tokens(value: str) -> list[str]:
     if stripped.startswith("[") and stripped.endswith("]"):
         stripped = stripped[1:-1]
     return [tok for tok in re.split(r"[,\s]+", stripped) if tok]
+
+
+def _key_values(text: str, what: str, error: type[Exception] = ValueError) -> Iterator[tuple[int, str, str]]:
+    """``(line number, lowercased key, value)`` of each ``key: value`` line; blank and ``#`` lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition(":")
+            if not sep:
+                raise error(f"{what} line {lineno}: expected 'key: value', got {line!r}")
+            yield lineno, key.strip().lower(), value.strip()
 
 
 def parse_rules_document(text: str) -> OctalRules:
@@ -178,17 +189,10 @@ def parse_rules_document(text: str) -> OctalRules:
     that same ruleset, so a name names one ruleset.
     """
     entries: dict[str, str] = {}
-    for raw in text.replace(";", "\n").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise RulesError(f"malformed rules line (expected 'key: value'): {raw.strip()!r}")
-        key = key.strip().lower()
+    for _, key, value in _key_values(text.replace(";", "\n"), "rules document", RulesError):
         if key in entries:
             raise RulesError(f"duplicate rules field {key!r}")
-        entries[key] = value.strip()
+        entries[key] = value
     keys = {field.name for field in fields(OctalRules)}
     unknown = sorted(set(entries) - keys)
     if unknown:
@@ -209,7 +213,7 @@ def rules_from_name(name: str) -> OctalRules | None:
 
     Another spelling of a set (``sub54``) or a take the builders refuse (``nim0``) names no ruleset.
     """
-    match = re.fullmatch(r"nim(\d+)|sub([1-9]+)|sub((?:-\d+)+)", name)
+    match = re.fullmatch(rf"nim({_DIGITS})|sub([1-9]+)|sub((?:-{_DIGITS})+)", name)
     if match is None:
         return PRESETS.get(name)
     nim, run, dashed = match.groups()
@@ -289,13 +293,10 @@ def parse_position(text: str, known: Collection[str] | None = None) -> Position:
     heaps = []
     for index, term in enumerate(stripped.split(","), start=1):
         term = term.strip()
-        match = re.fullmatch(r"(\d+)\s*@\s*(\S+)", term)
-        if match:
-            digits, name = match.groups()
-        elif re.fullmatch(r"\d+", term) and known is not None and len(known) == 1:
-            digits, name = term, next(iter(known))
-        else:
+        match = re.fullmatch(rf"({_DIGITS})(?:\s*@\s*(\S+))?", term)
+        if match is None or match[2] is None and (known is None or len(known) != 1):
             raise ValueError(f"bad heap term {term!r}; expected size@ruleset")
+        digits, name = match[1], match[2] or next(iter(known))
         size = _parse_int(digits, f"size of heap term {index}", repr(term))
         if known is not None and name not in known:
             raise UnknownRulesetError(f"position references unknown ruleset {name!r}")

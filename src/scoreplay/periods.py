@@ -29,6 +29,7 @@ from scoreplay.octal import (
     GrundySolver,
     OctalRules,
     Position,
+    _key_values,
     _parse_int,
     _tokens,
     parse_position,
@@ -196,10 +197,10 @@ def detect_certified_period(
     so the induction in :func:`certify_period`'s docstring carries the
     period on forever.  That p is the tail's least period and P its least
     preperiod; a spurious short period, such as a constant run at the end,
-    has too few values past it.  Otherwise the :func:`detect_period`
-    answer is returned unmarked, or None; so it is for a nonempty ``base``
-    or splitting rules, as the proof needs neither.  ``min_window`` gates
-    only that empirical answer, kept from the same walk of the periods.
+    has too few values past it, as has every p above len(values) - f.
+    Otherwise the :func:`detect_period` answer is returned unmarked, or
+    None; so it is for a nonempty ``base`` or splitting rules, as the
+    proof needs neither.  ``min_window`` gates only that empirical answer.
     ``values`` are as for :func:`detect_period`.
     """
     if base or rules.splits_heaps:
@@ -207,13 +208,10 @@ def detect_certified_period(
     count = len(values)
     _check_window(count, min_window)
     lookback = len(rules.digits)
-    empirical = None
-    for preperiod, period in _period_candidates(values, max(count - lookback, count // min_window)):
+    for preperiod, period in _period_candidates(values, count - lookback):
         if max(preperiod, 1) + period + lookback <= count:
             return PeriodReport(preperiod, period, certified=True)
-        if empirical is None and count - preperiod >= min_window * period:
-            empirical = PeriodReport(preperiod, period)
-    return empirical
+    return detect_period(values, min_window)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +397,7 @@ def parse_scan_spec(text: str) -> ScanSpec:
             raise ValueError(f"duplicate scan instance {name!r}")
         instances[name] = inst
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"scan spec line {lineno}: expected 'key: value', got {raw.strip()!r}")
-        key = key.strip().lower()
-        value = value.strip()
+    for lineno, key, value in _key_values(text, "scan spec"):
         try:
             if key == "seed":
                 seed = _parse_setting(key, value)
@@ -433,11 +423,11 @@ def parse_scan_spec(text: str) -> ScanSpec:
 _SETTING_FIELDS = {"max-n": "max_n", "min-window": "min_window", "budget": "budget"}
 
 
-def _parse_setting(key: str, value: str) -> int | None:
-    """A ``seed``, ``max-n``, ``min-window`` or ``budget`` value; ``budget`` also takes ``none``."""
+def _parse_setting(key: str, value: str, error: type[Exception] = ValueError) -> int | None:
+    """A ``seed``, ``max-n``, ``min-window`` or ``budget`` value, else ``error``; ``budget`` also takes ``none``."""
     if key == "budget" and value.lower() == "none":
         return None
-    return _parse_int(value, f"{key} value", repr(value))
+    return _parse_int(value, f"{key} value", repr(value), error)
 
 
 _MAX_GROUND = 16  # a family of 2**16 - 1 subsets

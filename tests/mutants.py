@@ -80,19 +80,18 @@ MUTANTS = (
     ),
     Mutant(
         "periods.py",
-        "    for preperiod, period in _period_candidates(values, max(count - lookback, count // min_window)):",
-        "    for preperiod, period in _period_candidates(values, max(count - lookback - 1, count // min_window)):",
+        "    for preperiod, period in _period_candidates(values, count - lookback):",
+        "    for preperiod, period in _period_candidates(values, count - lookback - 1):",
         "candidate-bound-one-short",
         (),
-        "the only period dropped, p = count - f, certifies only if max(P, 1) <= 0, and passes "
-        "min_window only if min_window * p <= count, which p > count // min_window rules out",
+        "the only period dropped, p = count - f, certifies only if max(P, 1) <= 0",
     ),
     Mutant(
         "periods.py",
-        "        if empirical is None and count - preperiod >= min_window * period:",
-        "        if count - preperiod >= min_window * period:",
-        "empirical-keeps-last-candidate",
-        (P + "test_a_period_certifies_exactly_when_the_sweep_reaches_its_window_end[sub12]",
+        "            return PeriodReport(preperiod, period, certified=True)\n    return detect_period(values, min_window)",
+        "            return PeriodReport(preperiod, period, certified=True)\n    return None",
+        "empirical-answer-dropped",
+        (P + "test_certified_search_falls_back_when_data_runs_short",
          P + "test_certified_search_matches_certifying_each_candidate_on_sweeps[sub45]"),
     ),
     Mutant(

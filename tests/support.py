@@ -22,11 +22,11 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 NINES = "9" * 5000  # more digits than int() converts
 
 
-def cap_address_space() -> None:
-    """A child process's ``preexec_fn``: at most 1 GiB of address space, so
-    a regression that builds without bound fails fast instead of taking
-    the host's memory."""
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+def cap_address_space(limit: int = 2**30) -> None:
+    """A child process's ``preexec_fn``: at most ``limit`` bytes of address
+    space, 1 GiB by default, so a regression that builds without bound
+    fails fast instead of taking the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def naive_final_scores(game: Game, memo: dict | None = None) -> tuple[Fraction, Fraction]:

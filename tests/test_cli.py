@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -597,6 +598,71 @@ def test_a_huge_splitting_heap_fails_with_a_budget_error(argv, message):
     assert elapsed < 5  # a fresh interpreter included; the refusal itself takes milliseconds
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["gs", "--rules", "o26", "--position", "100000000@o26", "--budget", "none"], None),
+        (["scan", "--spec"], "budget: none\ninstance: o26 fixed=100000000@o26 max-n=2\n"),
+    ],
+    ids=["gs", "scan"],
+)
+def test_running_out_of_memory_gets_one_error_line(tmp_path, argv, spec):
+    """Without a budget, the splits of a huge heap fill a 400 MB address
+    space.  The child ends with one ``error:`` line and exit status 2, not
+    a traceback."""
+    if spec is not None:
+        (tmp_path / "huge.scan").write_text(spec, encoding="utf-8")
+        argv = [*argv, str(tmp_path / "huge.scan")]
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "scoreplay", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=partial(cap_address_space, 400_000 * 1024),
+    )
+    elapsed = time.perf_counter() - started
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: out of memory; give a smaller input or a lower budget\n"
+    )
+    assert elapsed < 10
+
+
+def test_budget_none_lifts_the_cap_of_a_table(run):
+    """The default budget of 1,000,000 positions refuses this table."""
+    assert run("table", "--rules", "sub45", "--max-n", "1000001")[0] == 2
+    code, out, err = run("table", "--rules", "sub45", "--max-n", "1000001", "--budget", "none")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (len(lines), lines[:3], lines[-1]) == (1_000_003, ["n,value", "0,0", "1,0"], "1000001,1")
+
+
+def test_period_budget_none_prints_the_row_of_a_scan_with_budget_none(run, tmp_path):
+    spec = tmp_path / "one.scan"
+    spec.write_text("budget: none\ninstance: sub45 max-n=1000001\n", encoding="utf-8")
+    code, out, _ = run("scan", "--spec", str(spec))
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert run("period", "--rules", "sub45", "--max-n", "1000001", "--budget", "none") == (
+        0,
+        f"preperiod={row['preperiod']} period={row['period']} certified=true "
+        f"certified_from={row['certified_from']} checked_up_to=1000001 values_digest={row['values_digest']}\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gs", "--rules", "o26", "--position", "12@o26"],
+        ["oracle", "--rules", "o26", "--max-total", "6"],
+    ],
+    ids=["gs", "oracle"],
+)
+def test_budget_none_answers_as_a_budget_that_fits(run, argv):
+    assert run(*argv, "--budget", "none") == run(*argv, "--budget", "NONE") == run(*argv)
+
+
 def test_oracle_keeps_its_budget_error_bytes(run):
     """The budget trips at the same position whichever of ``to_game`` and
     ``value`` walks first."""
@@ -647,14 +713,78 @@ INT_OPTIONS = {
 @pytest.mark.parametrize("option", list(INT_OPTIONS))
 def test_a_malformed_integer_option_gets_one_short_error_line(run, option, value):
     """The value is read as a rules document's digits are, so an over-long
-    digit string is named by the digit limit and never echoed."""
+    digit string is named by the digit limit and never echoed.  ``--budget``
+    is read by the scan spec's ``budget:`` reader, in its wording."""
     argv = INT_OPTIONS[option]
     code, out, err = run(*argv, value)
     assert (code, out) == (2, "")
     assert len(err.encode("utf-8")) < 300
+    what = "budget value" if option == "--budget" else "integer"
     shown = f": more than {INT_DIGIT_LIMIT} digits" if value == NINES else f" {value!r}"
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert errors == [f"scoreplay {argv[0]}: error: argument {option}: bad integer{shown}"]
+    assert errors == [f"scoreplay {argv[0]}: error: argument {option}: bad {what}{shown}"]
+
+
+# an underscore, which int() skips, a full-width and an Arabic-Indic digit
+NOT_ASCII_INTEGERS = ["1_0", "\uff13", "\u0663"]
+# where each reader takes an integer: its command line, and its error line for the value v
+INTEGER_SITES = {
+    "--max-n": (
+        lambda v: ["table", "--rules", "sub45", "--max-n", v],
+        lambda v: f"scoreplay table: error: argument --max-n: bad integer {v!r}",
+    ),
+    "sub:": (
+        lambda v: ["table", "--rules", f"sub:4,{v}", "--max-n", "2"],
+        lambda v: f"error: bad subtraction amounts in {'sub:4,' + v!r}",
+    ),
+    "nim:": (
+        lambda v: ["table", "--rules", f"nim:{v}", "--max-n", "2"],
+        lambda v: f"error: bad heap bound in {'nim:' + v!r}",
+    ),
+    "rules digit": (
+        lambda v: ["table", "--rules", f"name: q; digits: 3 {v}; points: 1 1", "--max-n", "2"],
+        lambda v: f"error: bad digit in rules document {v!r}",
+    ),
+    "heap term": (
+        lambda v: ["gs", "--rules", "sub45", "--position", f"{v}@sub45"],
+        lambda v: f"error: bad heap term {v + '@sub45'!r}; expected size@ruleset",
+    ),
+    "scan setting": (
+        lambda v: ["scan", "--spec", f"max-n: {v}\ninstance: sub45\n"],
+        lambda v: f"error: scan spec line 1: bad max-n value {v!r}",
+    ),
+    "ground set": (
+        lambda v: ["scan", "--spec", f"subtraction-family: 1,{v}\n"],
+        lambda v: f"error: scan spec line 1: bad ground set element {v!r}",
+    ),
+    "parse_score": (
+        lambda v: ["table", "--rules", f"name: q; digits: 3; points: {v}", "--max-n", "2"],
+        lambda v: f"error: not a rational score literal: {v!r}",
+    ),
+    "parse_game": (
+        lambda v: ["eval", "--game", f"{{{v}|0|-1}}"],
+        {
+            "1_0": "error: expected '|', found '_' (at character 2)",
+            "\uff13": "error: expected a score, found '\uff13' (at character 1)",
+            "\u0663": "error: expected a score, found '\u0663' (at character 1)",
+        }.__getitem__,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_INTEGERS, ids=["underscore", "fullwidth", "arabic-indic"])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_an_integer_is_a_sign_and_ascii_digits_at_every_site(run, tmp_path, site, value):
+    """int() reads ``1_0`` as 10 and any Unicode digit as its value; every
+    reader of input text refuses them, each in its own words."""
+    argv, message = INTEGER_SITES[site]
+    argv = argv(value)
+    if argv[0] == "scan":  # the spec is a file
+        (tmp_path / "bad.scan").write_text(argv[2], encoding="utf-8")
+        argv[2] = str(tmp_path / "bad.scan")
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [message(value)]
 
 
 FRACTIONAL = "name: frac; digits: 1 7 6; points: 1/2 -2/3 3/4"

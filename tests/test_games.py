@@ -571,51 +571,31 @@ def test_render_length_is_counted_before_any_text_is_built(g):
 # Reflection, checked against the first recursive definitions of the algebra
 
 
-def ref_negate(game: Game) -> Game:
-    memo: dict[int, Game] = {}
-
-    def go(node: Game) -> Game:
-        got = memo.get(id(node))
-        if got is None:
-            got = Game(-node.score, [go(child) for child in node.right], [go(child) for child in node.left])
-            memo[id(node)] = got
-        return got
-
-    return go(game)
+def ref_negate(game: Game, memo: dict | None = None) -> Game:
+    memo = {} if memo is None else memo
+    if game not in memo:
+        left = [ref_negate(o, memo) for o in game.right]
+        right = [ref_negate(o, memo) for o in game.left]
+        memo[game] = Game(-game.score, left, right)
+    return memo[game]
 
 
-def ref_translate(game: Game, amount) -> Game:
-    amount = as_score(amount)
-    if amount == 0:
-        return game
-    memo: dict[int, Game] = {}
-
-    def go(node: Game) -> Game:
-        got = memo.get(id(node))
-        if got is None:
-            got = Game(node.score + amount, [go(child) for child in node.left], [go(child) for child in node.right])
-            memo[id(node)] = got
-        return got
-
-    return go(game)
+def ref_translate(game: Game, amount, memo: dict | None = None) -> Game:
+    memo = {} if memo is None else memo
+    if game not in memo:
+        left = [ref_translate(o, amount, memo) for o in game.left]
+        right = [ref_translate(o, amount, memo) for o in game.right]
+        memo[game] = Game(game.score + as_score(amount), left, right)
+    return memo[game]
 
 
-def ref_add(g: Game, h: Game) -> Game:
-    memo: dict[tuple[int, int], Game] = {}
-
-    def go(a: Game, b: Game) -> Game:
-        key = (id(a), id(b))
-        got = memo.get(key)
-        if got is None:
-            left = [go(al, b) for al in a.left]
-            left += [go(a, bl) for bl in b.left]
-            right = [go(ar, b) for ar in a.right]
-            right += [go(a, br) for br in b.right]
-            got = Game(a.score + b.score, left, right)
-            memo[key] = got
-        return got
-
-    return go(g, h)
+def ref_add(g: Game, h: Game, memo: dict | None = None) -> Game:
+    memo = {} if memo is None else memo
+    if (g, h) not in memo:
+        left = [ref_add(o, h, memo) for o in g.left] + [ref_add(g, o, memo) for o in h.left]
+        right = [ref_add(o, h, memo) for o in g.right] + [ref_add(g, o, memo) for o in h.right]
+        memo[g, h] = Game(g.score + h.score, left, right)
+    return memo[g, h]
 
 
 def ref_is_impartial(game: Game) -> bool:
@@ -836,19 +816,12 @@ def test_sort_key_orders_like_the_reference_order(options):
             assert (order == 0) == (a is b)
 
 
-def _chain(depth: int, leaf) -> Game:
-    game = Game(leaf)
-    for _ in range(depth):
-        game = Game(0, [game])
-    return game
-
-
 def test_deep_chains_differing_at_the_leaf_sort_as_siblings():
-    low, high = _chain(300, 0), _chain(300, 1)
+    low, high = chain(300, 0), chain(300, 1)
     assert low is not high
     assert Game(0, [high, low]).left == (low, high)
     assert _keyed(low) < _keyed(high)
-    assert _chain(300, 0) is low
+    assert chain(300, 0) is low
 
 
 def test_siblings_alike_ten_thousand_levels_deep_are_ordered():
@@ -870,7 +843,7 @@ def test_siblings_alike_ten_thousand_levels_deep_are_ordered():
 
 def test_deep_game_renders_without_recursion():
     depth = 5000
-    game = _chain(depth, 7)
+    game = chain(depth, 7)
     assert render_game(game) == "{" * depth + "7" + "|0|}" * depth
     assert final_scores(game) == FinalScores(Fraction(0), Fraction(0))
 
@@ -971,27 +944,11 @@ def test_threads_building_the_same_games_get_the_same_objects():
 # constructor finds
 
 
-def _ref_add(g: Game, h: Game, memo: dict) -> Game:
-    if (g, h) not in memo:
-        left = [_ref_add(o, h, memo) for o in g.left] + [_ref_add(g, o, memo) for o in h.left]
-        right = [_ref_add(o, h, memo) for o in g.right] + [_ref_add(g, o, memo) for o in h.right]
-        memo[g, h] = Game(g.score + h.score, left, right)
-    return memo[g, h]
-
-
-def _ref_reflect(g: Game, about: Fraction, memo: dict) -> Game:
-    if g not in memo:
-        left = [_ref_reflect(o, about, memo) for o in g.right]
-        right = [_ref_reflect(o, about, memo) for o in g.left]
-        memo[g] = Game(about - g.score, left, right)
-    return memo[g]
-
-
 def _assert_same_nodes_as_fraction_arithmetic(g: Game, h: Game, c: Fraction) -> None:
-    assert add(g, h) is _ref_add(g, h, {})
-    assert reflect(g, c) is _ref_reflect(g, c, {})
-    assert negate(g) is _ref_reflect(g, Fraction(0), {})
-    assert translate(g, c) is _ref_add(g, Game(c), {})
+    assert add(g, h) is ref_add(g, h)
+    assert reflect(g, c) is ref_translate(ref_negate(g), c)
+    assert negate(g) is ref_negate(g)
+    assert translate(g, c) is ref_add(g, Game(c))
     assert parse_game(render_game(g)) is g
 
 
